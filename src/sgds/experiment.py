@@ -153,6 +153,9 @@ def parse_config(path=None, overrides: dict | None = None) -> Config:
             raise
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {val!r}")
+    for key in ("train.epochs", "train.batch"):
+        if values[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {values[key]}")
     return Config(values)
 
 

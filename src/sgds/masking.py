@@ -84,12 +84,23 @@ class ActivationCounters:
             raise ContractViolation(f"class {c} has no counter row")
         return self.f_c[self._cidx[c], self.layer_row(layer)]
 
-    def record(self, c: int, layer: int, indices: np.ndarray) -> None:
+    def record(self, c: int | np.ndarray, layer: int,
+               support: np.ndarray) -> None:
+        """Count selected units: ``support`` is ``(..., width)`` booleans and
+        ``c`` the class of each row (or one class for every row)."""
         li = self.layer_row(layer)
-        if c not in self._cidx:
-            raise ContractViolation(f"class {c} has no counter row")
-        self.f[li, indices] += 1
-        self.f_c[self._cidx[c], li, indices] += 1
+        support = np.asarray(support, dtype=bool)
+        if support.shape[-1:] != (self.width,):
+            raise ContractViolation(f"support width is not {self.width}")
+        classes = np.broadcast_to(c, support.shape[:-1]).ravel()
+        missing = set(classes.tolist()) - self._cidx.keys()
+        if missing:
+            raise ContractViolation(f"class {min(missing)} has no counter row")
+        hits = support.reshape(-1, self.width).astype(np.int64)
+        self.f[li] += hits.sum(axis=0)
+        # add.at, not fancy-index +=, so repeated classes all count
+        np.add.at(self.f_c[:, li], [self._cidx[v] for v in classes.tolist()],
+                  hits)
 
     def dump_csv(self, path) -> None:
         """Textual dump: layer, unit, F, then one F_c column per seen class."""
@@ -197,24 +208,26 @@ def top_k_mask(a: np.ndarray, k: float) -> np.ndarray:
 
 
 def sparsify_and_record(x: np.ndarray, p: np.ndarray, k: float,
-                        rng: np.random.Generator,
+                        u: np.ndarray,
                         counters: ActivationCounters | None = None,
-                        c: int | None = None, layer: int | None = None,
+                        c: int | np.ndarray | None = None,
+                        layer: int | None = None,
                         record: bool = False) -> np.ndarray:
-    """Bernoulli(p) mask, then magnitude Top-K; optionally count selections.
+    """Bernoulli mask ``u < p``, then magnitude Top-K per row; optionally count.
 
-    The final support is the set of coordinates that survive both stages and
-    are nonzero; only those are counted.
+    ``x``, ``p`` and the pre-drawn uniforms ``u`` share one shape, ``(N,)``
+    or ``(B, N)``; ``c`` is the class of each row.  The final support is the
+    set of coordinates that survive both stages and are nonzero; only those
+    are counted.
     """
     x = np.asarray(x, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
-    if x.shape != p.shape:
-        raise ContractViolation("activation and probability lengths differ")
-    m = (rng.random(x.shape) < p).astype(np.float64)
-    a = x * m
+    if not x.shape == p.shape == np.shape(u):
+        raise ContractViolation("activation, probability and uniform shapes differ")
+    a = x * (u < p)
     out = a * top_k_mask(a, k)
     if record:
         if counters is None or c is None or layer is None:
             raise ContractViolation("recording requires counters, class, layer")
-        counters.record(c, layer, np.flatnonzero(out))
+        counters.record(c, layer, out != 0.0)
     return out

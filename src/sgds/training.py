@@ -14,7 +14,7 @@ from .masking import (ActivationCounters, Phase, SemanticProfile,
 from .model import Adapter, FrozenBackbone
 from .numerics import (ContractViolation, OptimizerState, Tape, backward,
                        sgd_step)
-from .rng import TAG_ALIGN, TAG_MASK, TAG_SHUFFLE, stream_rng
+from .rng import TAG_ALIGN, TAG_MASK, TAG_SHUFFLE, stream_rng, stream_uniforms
 
 VAR_FLOOR = 1e-6
 
@@ -142,10 +142,30 @@ def _epoch_phase(epoch: int, total_epochs: int) -> Phase:
     return Phase.EXPLORATION if epoch <= total_epochs // 2 else Phase.COMPACTION
 
 
+def _epoch_mask_uniforms(run_seed, task_index, epoch, n, batch, layers, width):
+    """Mask uniforms for one epoch's ``n`` rows in batch order, per layer.
+
+    Row ``r`` is sample ``r % batch`` of batch ``r // batch``; its uniforms
+    are the stream ``(run_seed, TAG_MASK, task, epoch, batch, sample, layer)``.
+    """
+    r = np.arange(n, dtype=np.uint64)
+    keys = np.empty((n, 7), dtype=np.uint64)
+    keys[:, :4] = (run_seed % (1 << 64), TAG_MASK, task_index, epoch)
+    keys[:, 4], keys[:, 5] = r // np.uint64(batch), r % np.uint64(batch)
+    uniforms = {}
+    for l in layers:
+        keys[:, 6] = l
+        uniforms[l] = stream_uniforms(keys, width)
+    return uniforms
+
+
 def build_batch_tape(state, adapter_params, head_new, x, y, col_of, cfg, phase,
-                     profiles, prev_adapters, run_seed, task_index, epoch,
-                     batch_idx):
-    """Record one batch's forward graph; returns (tape, loss node, leaf names)."""
+                     profiles, prev_adapters, mask_u):
+    """Record one batch's forward graph; returns (tape, loss node, leaf names).
+
+    ``mask_u`` maps each target layer to the batch's ``(B, width)`` mask
+    uniforms; it is read only when SGDS is enabled.
+    """
     tape = Tape()
     leaf_names: dict[int, str] = {}
 
@@ -169,23 +189,17 @@ def build_batch_tape(state, adapter_params, head_new, x, y, col_of, cfg, phase,
                             else cfg.ac_enabled)
             cfg_phase = replace(sp, phase=phase)
             # per-class probabilities from the counter state at batch start
-            probs = {}
-            for c in np.unique(y):
-                if phase_active:
-                    probs[int(c)] = dispatch_probability(
-                        profiles[int(c)], state.counters, l, cfg_phase)
-                else:
-                    probs[int(c)] = np.ones(state.backbone.width)
-            vals = tape.value(a)
-            mask = np.empty_like(vals)
-            for i in range(vals.shape[0]):
-                rng = stream_rng(run_seed, TAG_MASK, task_index, epoch,
-                                 batch_idx, i, l)
-                out = sparsify_and_record(
-                    vals[i], probs[int(y[i])], sp.k, rng,
-                    counters=state.counters, c=int(y[i]), layer=l, record=True)
-                mask[i] = out != 0.0
-            a = tape.mask_mul(a, mask)
+            classes, row_class = np.unique(y, return_inverse=True)
+            if phase_active:
+                probs = np.stack([dispatch_probability(
+                    profiles[int(c)], state.counters, l, cfg_phase)
+                    for c in classes])
+            else:
+                probs = np.ones((len(classes), state.backbone.width))
+            out = sparsify_and_record(
+                tape.value(a), probs[row_class], sp.k, mask_u[l],
+                counters=state.counters, c=y, layer=l, record=True)
+            a = tape.mask_mul(a, (out != 0.0).astype(np.float64))
         # frozen MLP path
         h = tape.add(tape.matmul(tape.relu(tape.add(tape.matmul(a, tape.leaf(block.w1)),
                                                     tape.leaf(block.b1))),
@@ -275,13 +289,17 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
         phase = _epoch_phase(epoch, cfg.epochs)
         epoch_phases.append(phase)
         order = stream_rng(run_seed, TAG_SHUFFLE, task_index, epoch).permutation(n)
+        epoch_u = (_epoch_mask_uniforms(run_seed, task_index, epoch, n,
+                                        cfg.batch, state.target_layers, d)
+                   if cfg.sgds_enabled else {})
         losses = []
-        for b, start in enumerate(range(0, n, cfg.batch)):
+        for start in range(0, n, cfg.batch):
             idx = order[start:start + cfg.batch]
+            mask_u = {l: u[start:start + cfg.batch] for l, u in epoch_u.items()}
             loss, grads = _batch_step(
                 state, adapter_params, head_new, task.train_x[idx],
                 task.train_y[idx], col_of, cfg, phase, profiles,
-                state.adapters, run_seed, task_index, epoch, b)
+                state.adapters, mask_u)
             sgd_step(opt, params, grads)
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))

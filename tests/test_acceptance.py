@@ -154,7 +154,7 @@ def test_02_two_stage_sparsifier_matches_brute_force(verdict):
         k = float(rng.uniform(1.0 / n + 1e-9, 1.0))
         cap = int(math.floor(k * n))
         seed = 100000 + trial
-        out = sparsify_and_record(x, p, k, np.random.default_rng(seed))
+        out = sparsify_and_record(x, p, k, np.random.default_rng(seed).random(n))
         m = (np.random.default_rng(seed).random(n) < p).astype(float)
         a = x * m
         keep = sorted(range(n), key=lambda i: (-abs(a[i]), i))[:cap]
@@ -186,7 +186,7 @@ def test_03_counter_consistency_under_load(verdict):
         layer = int(rng.choice(layers))
         x = rng.normal(size=n)
         p = rng.random(n)
-        sparsify_and_record(x, p, 0.6, rng, counters=counters, c=c,
+        sparsify_and_record(x, p, 0.6, rng.random(n), counters=counters, c=c,
                             layer=layer, record=True)
         if i % 500 == 0:
             if not np.array_equal(counters.f, counters.f_c.sum(axis=0)):

@@ -186,6 +186,18 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("var,value", [("SGDS_TRAIN_BATCH", "0"),
+                                       ("SGDS_TRAIN_BATCH", "-5"),
+                                       ("SGDS_TRAIN_EPOCHS", "0")])
+def test_cli_rejects_nonpositive_batch_and_epochs(tmp_path, monkeypatch,
+                                                  capsys, var, value):
+    monkeypatch.setenv(var, value)
+    out = tmp_path / "o"
+    assert main(["run", str(quick_config(tmp_path)), "--out", str(out)]) == 1
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_cli_numeric_error_exit_code(tmp_path):
     cfg_path = quick_config(tmp_path, **{"train.weight_decay": "1e200"})

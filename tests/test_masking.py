@@ -198,7 +198,7 @@ def test_dispatch_compaction_unknown_class():
 
 def test_sparsify_top_k_support():
     x = np.array([5, 1, 3, 2, 4, 0.5, 6, 0.1, 0.2, 0.3])
-    out = sparsify_and_record(x, np.ones(10), 0.6, stream_rng(0))
+    out = sparsify_and_record(x, np.ones(10), 0.6, stream_rng(0).random(10))
     assert set(np.flatnonzero(out)) == {6, 0, 4, 2, 3, 1}
     np.testing.assert_array_equal(out[np.flatnonzero(out)],
                                   x[sorted({6, 0, 4, 2, 3, 1})])
@@ -206,7 +206,7 @@ def test_sparsify_top_k_support():
 
 def test_sparsify_zero_probability():
     counters = make_counters(width=4, classes=(0,))
-    out = sparsify_and_record(np.ones(4), np.zeros(4), 1.0, stream_rng(1),
+    out = sparsify_and_record(np.ones(4), np.zeros(4), 1.0, stream_rng(1).random(4),
                               counters, 0, 0, record=True)
     np.testing.assert_array_equal(out, np.zeros(4))
     assert counters.f.sum() == 0
@@ -215,7 +215,7 @@ def test_sparsify_zero_probability():
 def test_sparsify_identity_and_recording():
     counters = make_counters(width=4, classes=(3,))
     x = np.array([1.0, 0.0, -2.0, 3.0])
-    out = sparsify_and_record(x, np.ones(4), 1.0, stream_rng(2),
+    out = sparsify_and_record(x, np.ones(4), 1.0, stream_rng(2).random(4),
                               counters, 3, 0, record=True)
     np.testing.assert_array_equal(out, x)
     np.testing.assert_array_equal(counters.f[0], [1, 0, 1, 1])
@@ -224,7 +224,7 @@ def test_sparsify_identity_and_recording():
 
 def test_sparsify_rejects_degenerate_k():
     with pytest.raises(ContractViolation):
-        sparsify_and_record(np.ones(4), np.ones(4), 0.1, stream_rng(3))
+        sparsify_and_record(np.ones(4), np.ones(4), 0.1, stream_rng(3).random(4))
 
 
 @settings(max_examples=200, deadline=None)
@@ -235,7 +235,7 @@ def test_sparsity_bound_property(n, k, seed):
     rng = stream_rng(seed)
     x = rng.normal(size=n)
     p = rng.random(n)
-    out = sparsify_and_record(x, p, k, stream_rng(seed + 1))
+    out = sparsify_and_record(x, p, k, stream_rng(seed + 1).random(n))
     assert np.count_nonzero(out) <= math.floor(k * n)
 
 
@@ -247,7 +247,7 @@ def test_counter_consistency_after_random_trace():
         c = int(rng.integers(0, 3))
         layer = int(rng.choice([0, 2]))
         x = rng.normal(size=12)
-        sparsify_and_record(x, rng.random(12), 0.5, stream_rng(100 + i),
+        sparsify_and_record(x, rng.random(12), 0.5, stream_rng(100 + i).random(12),
                             counters, c, layer, record=True)
         assert np.all(counters.f >= prev_f)
         prev_f = counters.f.copy()
@@ -259,7 +259,7 @@ def test_bernoulli_statistical_sanity():
     p = np.full(8, 0.5)
     x = np.ones(8)
     for i in range(10_000):
-        out = sparsify_and_record(x, p, 1.0, stream_rng(7, i))
+        out = sparsify_and_record(x, p, 1.0, stream_rng(7, i).random(8))
         hits += out != 0
     freq = hits / 10_000
     assert np.all(np.abs(freq - 0.5) < 0.02)
@@ -267,11 +267,74 @@ def test_bernoulli_statistical_sanity():
 
 def test_counters_csv_dump(tmp_path):
     counters = make_counters(width=2, layers=(1,), classes=(4, 9))
-    counters.record(4, 1, np.array([0]))
-    counters.record(9, 1, np.array([0, 1]))
+    counters.record(4, 1, np.array([True, False]))
+    counters.record(9, 1, np.array([True, True]))
     path = tmp_path / "counters.csv"
     counters.dump_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "layer,unit,F,c4,c9"
     assert lines[1] == "1,0,2,1,1"
     assert lines[2] == "1,1,1,0,1"
+
+
+def _per_row_reference(x, p, u, k, classes, counters, layer):
+    """Brute-force per-row sparsifier with element-by-element counting."""
+    cap = math.floor(k * x.shape[1])
+    out = np.zeros_like(x)
+    li = counters.layer_row(layer)
+    for i in range(x.shape[0]):
+        a = x[i] * (u[i] < p[i])
+        keep = sorted(range(x.shape[1]), key=lambda j: (-abs(a[j]), j))[:cap]
+        out[i, keep] = a[keep]
+        ci = counters.class_ids.index(classes[i])
+        for j in np.flatnonzero(out[i]):
+            counters.f[li, j] += 1
+            counters.f_c[ci, li, j] += 1
+    return out
+
+
+def test_batched_sparsify_and_record_matches_per_row_loop():
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        b, n = int(rng.integers(1, 9)), int(rng.integers(2, 13))
+        if trial % 2:
+            x = rng.integers(-2, 3, size=(b, n)).astype(float)  # ties, zeros
+        else:
+            x = rng.normal(size=(b, n))
+        p = rng.random((b, n))
+        p[rng.random(b) < 0.25] = 0.0
+        u = rng.random((b, n))
+        k = (1.0, 1.0 / n + 1e-9, float(rng.uniform(1.0 / n + 1e-9, 1.0)))[trial % 3]
+        classes = rng.choice([3, 5, 8], size=b)  # classes repeat in a batch
+        got_c = make_counters(width=n, layers=(0, 2), classes=(3, 5, 8))
+        ref_c = make_counters(width=n, layers=(0, 2), classes=(3, 5, 8))
+        got = sparsify_and_record(x, p, k, u, got_c, classes, 2, record=True)
+        exp = _per_row_reference(x, p, u, k, classes, ref_c, 2)
+        np.testing.assert_array_equal(got, exp)
+        np.testing.assert_array_equal(got != 0, exp != 0)
+        np.testing.assert_array_equal(got_c.f, ref_c.f)
+        np.testing.assert_array_equal(got_c.f_c, ref_c.f_c)
+
+
+def test_record_counts_every_repeated_class_row():
+    counters = make_counters(width=3, classes=(1, 2))
+    support = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 1]], dtype=bool)
+    counters.record(np.array([1, 1, 2]), 0, support)
+    np.testing.assert_array_equal(counters.f[0], [2, 2, 1])
+    np.testing.assert_array_equal(counters.f_c[0, 0], [2, 1, 0])
+    np.testing.assert_array_equal(counters.f_c[1, 0], [0, 1, 1])
+
+
+def test_record_rejects_unknown_class_or_wrong_width():
+    counters = make_counters(width=2, classes=(1,))
+    with pytest.raises(ContractViolation):
+        counters.record(np.array([1, 7]), 0, np.ones((2, 2), dtype=bool))
+    with pytest.raises(ContractViolation):
+        counters.record(np.array([1]), 0, np.ones((1, 4), dtype=bool))
+    assert counters.f.sum() == 0
+
+
+def test_sparsify_rejects_mismatched_uniforms():
+    with pytest.raises(ContractViolation):
+        sparsify_and_record(np.ones((2, 4)), np.ones((2, 4)), 0.5,
+                            np.zeros((1, 4)))

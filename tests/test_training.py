@@ -5,9 +5,11 @@ from sgds.data import SyntheticSpec, generate_synthetic
 from sgds.masking import Phase, SparsifierConfig
 from sgds.model import FrozenBackbone
 from sgds.numerics import ContractViolation
-from sgds.training import (ContinualState, TrainConfig, align_old_prototypes,
-                           build_batch_tape, build_classifier,
-                           expand_head, fit_class_gaussians, train_task)
+from sgds.rng import TAG_MASK, stream_rng
+from sgds.training import (ContinualState, TrainConfig, _epoch_mask_uniforms,
+                           align_old_prototypes, build_batch_tape,
+                           build_classifier, expand_head, fit_class_gaussians,
+                           train_task)
 
 
 def small_config(**kw):
@@ -190,7 +192,8 @@ def _tape_ops_for(cfg):
                 for c in task.classes}
     tape, loss, _ = build_batch_tape(
         state, adapter_params, head, task.train_x[:8], task.train_y[:8],
-        col_of, cfg, Phase.EXPLORATION, profiles, [], 0, 0, 1, 0)
+        col_of, cfg, Phase.EXPLORATION, profiles, [],
+        {1: np.full((8, 16), 0.5)})
     return [n.op for n in tape.nodes]
 
 
@@ -222,3 +225,16 @@ def test_param_reg_penalty_increases_loss():
         losses[name] = state.task_logs[1].epoch_losses[0]
     # same data/seed, the penalized run carries the extra positive term
     assert losses["on"] >= losses["off"]
+
+
+@pytest.mark.parametrize("run_seed", [7, -3, (1 << 64) - 1])
+def test_epoch_mask_uniforms_follow_the_per_sample_streams(run_seed):
+    n, batch, width = 11, 4, 5
+    got = _epoch_mask_uniforms(run_seed, 2, 3, n, batch, (0, 3), width)
+    assert sorted(got) == [0, 3]
+    for l, u in got.items():
+        assert u.shape == (n, width)
+        for r in range(n):
+            exp = stream_rng(run_seed, TAG_MASK, 2, 3, r // batch, r % batch,
+                             l).random(width)
+            np.testing.assert_array_equal(u[r], exp)
