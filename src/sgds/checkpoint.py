@@ -7,7 +7,7 @@ import struct
 import numpy as np
 
 from .masking import ActivationCounters
-from .model import FrozenBackbone, load_adapter, save_adapter
+from .model import BlobReader, FrozenBackbone, load_adapter, save_adapter
 from .numerics import ContractViolation
 from .training import ContinualState
 
@@ -38,32 +38,25 @@ def save_state(dirpath, state: ContinualState) -> None:
 
 
 def load_state(dirpath, backbone: FrozenBackbone) -> ContinualState:
-    path = os.path.join(dirpath, "stats.bin")
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:8] != STATS_MAGIC:
-        raise ContractViolation("bad stats checkpoint magic")
-    hdr = struct.calcsize("<IIIQdB")
-    version, n_classes, d, bitmap, k, masked = struct.unpack_from("<IIIQdB", blob, 8)
+    """Read a checkpoint directory, checking every file against the backbone."""
+    r = BlobReader(os.path.join(dirpath, "stats.bin"), STATS_MAGIC)
+    version, n_classes, d, bitmap, k, masked = r.unpack("<IIIQdB", "header")
     if version != STATS_VERSION:
         raise ContractViolation(f"unsupported stats version {version}")
     if d != backbone.width:
         raise ContractViolation("checkpoint width does not match backbone")
     target_layers = tuple(l for l in range(64) if bitmap & (1 << l))
+    if target_layers and target_layers[-1] >= backbone.num_blocks:
+        raise ContractViolation("checkpoint target layer out of backbone range")
     class_ids, class_stats, rows = [], {}, []
-    off = 8 + hdr
     for _ in range(n_classes):
-        (c,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        mean = np.frombuffer(blob, dtype="<f8", count=d, offset=off).copy()
-        off += 8 * d
-        var = np.frombuffer(blob, dtype="<f8", count=d, offset=off).copy()
-        off += 8 * d
-        row = np.frombuffer(blob, dtype="<f8", count=d, offset=off).copy()
-        off += 8 * d
+        (c,) = r.unpack("<I", "class id")
+        mean = r.floats(d, f"mean of class {c}")
+        var = r.floats(d, f"variance of class {c}")
+        rows.append(r.floats(d, f"classifier row of class {c}"))
         class_ids.append(int(c))
         class_stats[int(c)] = (mean, var)
-        rows.append(row)
+    r.end()
     state = ContinualState(
         backbone=backbone, target_layers=target_layers, k=k,
         masked_inference=bool(masked),
@@ -73,6 +66,17 @@ def load_state(dirpath, backbone: FrozenBackbone) -> ContinualState:
     )
     names = sorted(n for n in os.listdir(dirpath) if n.endswith(".sgdsadp"))
     for name in names:
-        adapter, _, _ = load_adapter(os.path.join(dirpath, name))
+        adapter, num_blocks, ad = load_adapter(os.path.join(dirpath, name))
+        if (num_blocks, ad) != (backbone.num_blocks, backbone.width):
+            raise ContractViolation(
+                f"{name}: adapter for {num_blocks} blocks of width {ad}, "
+                f"backbone has {backbone.num_blocks} of width {backbone.width}")
+        if adapter.target_layers != target_layers:
+            raise ContractViolation(
+                f"{name}: adapter layers {adapter.target_layers} differ from "
+                f"stats.bin layers {target_layers}")
+        if state.adapters and adapter.rank != state.adapters[0].rank:
+            raise ContractViolation(f"{name}: adapter rank {adapter.rank} "
+                                    f"differs from {state.adapters[0].rank}")
         state.adapters.append(adapter)
     return state

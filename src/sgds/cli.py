@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .checkpoint import load_state
-from .data import write_embeddings
+from .data import generate_class_pool, write_embeddings
 from .experiment import (ConfigError, build_stream, parse_config,
                          run_ablation, run_experiment)
 from .inference import evaluate_row
@@ -60,18 +60,7 @@ def _cmd_inspect_counters(args) -> int:
 
 
 def _cmd_gen_synthetic(args) -> int:
-    cfg = parse_config(args.config)
-    from .data import SyntheticSpec, generate_class_pool
-    spec = SyntheticSpec(
-        groups=cfg["dataset.groups"],
-        classes_per_group=cfg["dataset.classes_per_group"],
-        dim=cfg["model.dim"],
-        within_group_angle=cfg["dataset.angle"],
-        noise_sigma=cfg["dataset.noise"],
-        samples_per_class_train=cfg["dataset.train_per_class"],
-        samples_per_class_test=cfg["dataset.test_per_class"],
-        seed=cfg["dataset.seed"],
-    )
+    spec = parse_config(args.config).synthetic_spec()
     train, test = generate_class_pool(spec)
     # per class: train samples first, then the test split
     xs, ys = [], []

@@ -6,18 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import ContractViolation
+from .numerics import ContractViolation, FormatError
 from .rng import TAG_DATA, TAG_SPLIT, stream_rng
 
 EMB_MAGIC = b"SGDSEMB1"
-
-
-class FormatError(ValueError):
-    """Malformed embedding file; ``offset`` is the failing byte position."""
-
-    def __init__(self, msg: str, offset: int):
-        super().__init__(f"{msg} (byte offset {offset})")
-        self.offset = offset
 
 
 @dataclass

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -74,6 +75,8 @@ _SCHEMA: dict[str, tuple] = {
     "out.chart": (_to_bool, False),
 }
 
+_MINIMUM = {"train.epochs": 1, "train.batch": 1, "align.samples": 0}
+
 
 @dataclass
 class Config:
@@ -99,6 +102,18 @@ class Config:
     @property
     def seeds(self) -> tuple[int, ...]:
         return self.values["run.seeds"] or (self.values["tasks.seed"],)
+
+    def synthetic_spec(self) -> SyntheticSpec:
+        return SyntheticSpec(
+            groups=self.values["dataset.groups"],
+            classes_per_group=self.values["dataset.classes_per_group"],
+            dim=self.values["model.dim"],
+            within_group_angle=self.values["dataset.angle"],
+            noise_sigma=self.values["dataset.noise"],
+            samples_per_class_train=self.values["dataset.train_per_class"],
+            samples_per_class_test=self.values["dataset.test_per_class"],
+            seed=self.values["dataset.seed"],
+        )
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -153,26 +168,20 @@ def parse_config(path=None, overrides: dict | None = None) -> Config:
             raise
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {val!r}")
-    for key in ("train.epochs", "train.batch"):
-        if values[key] < 1:
-            raise ConfigError(f"{key} must be at least 1, got {values[key]}")
+    for key, low in _MINIMUM.items():
+        if values[key] < low:
+            raise ConfigError(f"{key} must be at least {low}, got {values[key]}")
+    for key, (conv, _) in _SCHEMA.items():
+        if conv is float and not math.isfinite(values[key]):
+            raise ConfigError(f"{key} must be finite, got {values[key]}")
     return Config(values)
 
 
 def build_stream(cfg: Config, split_seed: int):
     kind = cfg["dataset.kind"]
     if kind == "synthetic":
-        spec = SyntheticSpec(
-            groups=cfg["dataset.groups"],
-            classes_per_group=cfg["dataset.classes_per_group"],
-            dim=cfg["model.dim"],
-            within_group_angle=cfg["dataset.angle"],
-            noise_sigma=cfg["dataset.noise"],
-            samples_per_class_train=cfg["dataset.train_per_class"],
-            samples_per_class_test=cfg["dataset.test_per_class"],
-            seed=cfg["dataset.seed"],
-        )
-        return generate_synthetic(spec, cfg["tasks.count"], split_seed)
+        return generate_synthetic(cfg.synthetic_spec(), cfg["tasks.count"],
+                                  split_seed)
     if kind == "embeddings":
         if not cfg["dataset.path"]:
             raise ConfigError("dataset.path required for embeddings mode")

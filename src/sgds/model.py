@@ -1,12 +1,13 @@
-"""Frozen residual-MLP backbone, per-task bottleneck adapters, fusion, penalty."""
+"""Frozen residual-MLP backbone, per-task bottleneck adapters, fusion, adapter files."""
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ContractViolation
+from .numerics import ContractViolation, FormatError
 from .rng import TAG_ADAPTER, TAG_BACKBONE, stream_rng
 
 ADP_MAGIC = b"SGDSADP1"
@@ -91,14 +92,12 @@ class Adapter:
 
 
 def block_forward(x: np.ndarray, block: Block,
-                  adapter_weights: tuple[np.ndarray, np.ndarray] | None = None,
-                  mask_hook=None) -> np.ndarray:
-    """x + MLP(x) + ReLU(x W_down) W_up, on the (optionally masked) input."""
+                  adapter_weights: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> np.ndarray:
+    """x + MLP(x) + ReLU(x W_down) W_up."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != block.w1.shape[0]:
         raise ContractViolation("activation width does not match block width")
-    if mask_hook is not None:
-        x = mask_hook(x)
     out = x + block.mlp(x)
     if adapter_weights is not None:
         w_down, w_up = adapter_weights
@@ -150,28 +149,6 @@ def merge_universal(adapters: list[Adapter]) -> Adapter:
     return out
 
 
-def orthogonality_penalty(current: Adapter, previous: list[Adapter],
-                          mode: str, layers: tuple[int, ...] | None = None) -> float:
-    """Sum of squared Frobenius norms of cross-task weight products."""
-    if mode not in ("up", "down", "both"):
-        raise ContractViolation(f"unknown penalty mode {mode!r}")
-    if not previous:
-        return 0.0
-    layers = current.target_layers if layers is None else tuple(layers)
-    total = 0.0
-    for l in layers:
-        cur_down, cur_up = current.layers[l]
-        for prev in previous:
-            if l not in prev.layers:
-                raise ContractViolation("previous adapter missing target layer")
-            pd, pu = prev.layers[l]
-            if mode in ("down", "both"):
-                total += float(np.sum((cur_down @ pd.T) ** 2))
-            if mode in ("up", "both"):
-                total += float(np.sum((cur_up @ pu.T) ** 2))
-    return total
-
-
 def save_adapter(path, adapter: Adapter, num_blocks: int, d: int) -> None:
     """SGDSADP1 checkpoint: header then row-major float64 matrices per layer."""
     bitmap = 0
@@ -187,21 +164,47 @@ def save_adapter(path, adapter: Adapter, num_blocks: int, d: int) -> None:
             f.write(np.ascontiguousarray(wu, dtype="<f8").tobytes())
 
 
+class BlobReader:
+    """Bounds-checked little-endian reads through the bytes of one file."""
+
+    def __init__(self, path, magic: bytes):
+        with open(path, "rb") as f:
+            self.blob = f.read()
+        self.name = os.path.basename(path)
+        if self.blob[:len(magic)] != magic:
+            raise FormatError(f"{self.name}: bad magic", 0)
+        self.off = len(magic)
+
+    def _take(self, n: int, what: str) -> int:
+        start = self.off
+        if len(self.blob) - start < n:
+            raise FormatError(f"{self.name}: truncated {what}", start)
+        self.off += n
+        return start
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, self.blob,
+                                  self._take(struct.calcsize(fmt), what))
+
+    def floats(self, count: int, what: str) -> np.ndarray:
+        return np.frombuffer(self.blob, dtype="<f8", count=count,
+                             offset=self._take(8 * count, what)).copy()
+
+    def end(self) -> None:
+        if self.off != len(self.blob):
+            raise FormatError(f"{self.name}: {len(self.blob) - self.off} "
+                              "bytes past the end of the data", self.off)
+
+
 def load_adapter(path) -> tuple[Adapter, int, int]:
     """Read an SGDSADP1 file; returns (adapter, num_blocks, d)."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:8] != ADP_MAGIC:
-        raise ContractViolation("bad adapter checkpoint magic")
-    task_id, num_blocks, d, rank, bitmap = struct.unpack_from("<iIIIQ", blob, 8)
+    r = BlobReader(path, ADP_MAGIC)
+    task_id, num_blocks, d, rank, bitmap = r.unpack("<iIIIQ", "header")
     layers = {}
-    off = 8 + struct.calcsize("<iIIIQ")
     for l in range(64):
-        if not bitmap & (1 << l):
-            continue
-        wd = np.frombuffer(blob, dtype="<f8", count=d * rank, offset=off)
-        off += 8 * d * rank
-        wu = np.frombuffer(blob, dtype="<f8", count=rank * d, offset=off)
-        off += 8 * rank * d
-        layers[l] = (wd.reshape(d, rank).copy(), wu.reshape(rank, d).copy())
+        if bitmap & (1 << l):
+            wd = r.floats(d * rank, f"W_down of layer {l}")
+            wu = r.floats(rank * d, f"W_up of layer {l}")
+            layers[l] = (wd.reshape(d, rank), wu.reshape(rank, d))
+    r.end()
     return Adapter(task_id, rank, layers), num_blocks, d

@@ -1,11 +1,4 @@
-"""Tape-based reverse-mode autodiff, losses, and SGD with cosine decay.
-
-The tape is deliberately small: it only knows the primitives the adapter and
-classifier graph needs (affine maps, ReLU, residual add, constant mask
-multiply, column concat, fused softmax cross-entropy, and the two scalar ops
-used by the orthogonality penalty).  Values are float64 numpy arrays and the
-tape is eager, so node values are available as soon as an op is recorded.
-"""
+"""Typed errors and SGD with momentum on a cosine learning-rate schedule."""
 from __future__ import annotations
 
 import math
@@ -18,177 +11,16 @@ class ContractViolation(ValueError):
     """A documented precondition was broken by the caller."""
 
 
+class FormatError(ContractViolation):
+    """Malformed binary file; ``offset`` is the failing byte position."""
+
+    def __init__(self, msg: str, offset: int):
+        super().__init__(f"{msg} (byte offset {offset})")
+        self.offset = offset
+
+
 class NumericError(ArithmeticError):
     """Non-finite value produced during a forward or backward pass."""
-
-    def __init__(self, msg: str, op_index: int | None = None):
-        super().__init__(msg)
-        self.op_index = op_index
-
-
-@dataclass
-class _Node:
-    value: np.ndarray
-    op: str
-    parents: tuple[int, ...]
-    aux: object = None
-    trainable: bool = False
-
-
-class Tape:
-    """Recorded forward pass over a fixed set of primitive ops."""
-
-    def __init__(self, check_finite: bool = True):
-        self.nodes: list[_Node] = []
-        self.check_finite = check_finite
-
-    def _push(self, value, op, parents, aux=None, trainable=False) -> int:
-        value = np.asarray(value, dtype=np.float64)
-        idx = len(self.nodes)
-        if self.check_finite and not np.all(np.isfinite(value)):
-            raise NumericError(f"non-finite value at op {idx} ({op})", idx)
-        self.nodes.append(_Node(value, op, parents, aux, trainable))
-        return idx
-
-    def value(self, nid: int) -> np.ndarray:
-        return self.nodes[nid].value
-
-    # --- leaves ---
-
-    def leaf(self, value, trainable: bool = False) -> int:
-        return self._push(value, "leaf", (), trainable=trainable)
-
-    # --- primitives ---
-
-    def matmul(self, a: int, b: int) -> int:
-        return self._push(self.nodes[a].value @ self.nodes[b].value, "matmul", (a, b))
-
-    def add(self, a: int, b: int) -> int:
-        va, vb = self.nodes[a].value, self.nodes[b].value
-        return self._push(va + vb, "add", (a, b), aux=(va.shape, vb.shape))
-
-    def relu(self, a: int) -> int:
-        return self._push(np.maximum(self.nodes[a].value, 0.0), "relu", (a,))
-
-    def mask_mul(self, a: int, mask: np.ndarray) -> int:
-        """Elementwise multiply by a constant 0/1 (or real) mask."""
-        mask = np.asarray(mask, dtype=np.float64)
-        return self._push(self.nodes[a].value * mask, "mask_mul", (a,), aux=mask)
-
-    def concat_cols(self, a: int, b: int) -> int:
-        va, vb = self.nodes[a].value, self.nodes[b].value
-        return self._push(
-            np.concatenate([va, vb], axis=-1), "concat_cols", (a, b),
-            aux=va.shape[-1],
-        )
-
-    def softmax_xent_mean(self, logits: int, labels: np.ndarray) -> int:
-        """Mean cross-entropy over a batch, fused with a stable softmax."""
-        z = self.nodes[logits].value
-        if z.ndim != 2:
-            raise ContractViolation("logits must be a (batch, classes) matrix")
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (z.shape[0],):
-            raise ContractViolation("one label per batch row required")
-        shifted = z - z.max(axis=1, keepdims=True)
-        logsumexp = np.log(np.exp(shifted).sum(axis=1))
-        nll = logsumexp - shifted[np.arange(z.shape[0]), labels]
-        probs = np.exp(shifted - logsumexp[:, None])
-        return self._push(nll.mean(), "softmax_xent_mean", (logits,),
-                          aux=(probs, labels))
-
-    def sum_squares(self, a: int) -> int:
-        v = self.nodes[a].value
-        return self._push(np.sum(v * v), "sum_squares", (a,))
-
-    def scale(self, a: int, alpha: float) -> int:
-        return self._push(self.nodes[a].value * alpha, "scale", (a,), aux=alpha)
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad down to ``shape`` (handles the bias-broadcast case of add)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
-
-
-def backward(tape: Tape, loss_node: int) -> dict[int, np.ndarray]:
-    """Reverse sweep from a scalar loss; returns grads keyed by trainable leaf."""
-    loss = tape.nodes[loss_node]
-    if np.asarray(loss.value).ndim != 0:
-        raise ContractViolation("loss node must be scalar")
-    grads: dict[int, np.ndarray] = {loss_node: np.ones(())}
-    for nid in range(loss_node, -1, -1):
-        if nid not in grads:
-            continue
-        g = grads[nid]
-        node = tape.nodes[nid]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient at op {nid} ({node.op})", nid)
-
-        def acc(pid: int, contrib: np.ndarray) -> None:
-            if pid in grads:
-                grads[pid] = grads[pid] + contrib
-            else:
-                grads[pid] = contrib
-
-        if node.op == "leaf":
-            continue
-        elif node.op == "matmul":
-            a, b = node.parents
-            va, vb = tape.nodes[a].value, tape.nodes[b].value
-            if va.ndim == 1 and vb.ndim == 1:
-                acc(a, g * vb)
-                acc(b, g * va)
-            else:
-                acc(a, g @ vb.T if vb.ndim > 1 else np.outer(g, vb))
-                acc(b, va.T @ g if va.ndim > 1 else np.outer(va, g))
-        elif node.op == "add":
-            a, b = node.parents
-            sa, sb = node.aux
-            acc(a, _unbroadcast(g, sa))
-            acc(b, _unbroadcast(g, sb))
-        elif node.op == "relu":
-            (a,) = node.parents
-            acc(a, g * (tape.nodes[a].value > 0.0))
-        elif node.op == "mask_mul":
-            (a,) = node.parents
-            acc(a, g * node.aux)
-        elif node.op == "concat_cols":
-            a, b = node.parents
-            split = node.aux
-            acc(a, g[..., :split])
-            acc(b, g[..., split:])
-        elif node.op == "softmax_xent_mean":
-            (a,) = node.parents
-            probs, labels = node.aux
-            delta = probs.copy()
-            delta[np.arange(len(labels)), labels] -= 1.0
-            acc(a, g * delta / len(labels))
-        elif node.op == "sum_squares":
-            (a,) = node.parents
-            acc(a, g * 2.0 * tape.nodes[a].value)
-        elif node.op == "scale":
-            (a,) = node.parents
-            acc(a, g * node.aux)
-        else:  # pragma: no cover
-            raise NumericError(f"unknown op {node.op}", nid)
-    return {i: grads[i] for i, n in enumerate(tape.nodes)
-            if n.trainable and i in grads}
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """-log softmax(logits)[label] with max-subtraction stabilization."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.size == 0:
-        raise ContractViolation("empty logits")
-    if not 0 <= label < logits.size:
-        raise ContractViolation("label out of range")
-    shifted = logits - logits.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[label])
 
 
 def cosine_lr(epoch: int, total: int, base_lr: float) -> float:

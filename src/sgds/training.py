@@ -11,8 +11,8 @@ from .masking import (ActivationCounters, Phase, SemanticProfile,
                       SparsifierConfig, dispatch_probability,
                       formulate_strategy, relation_distribution,
                       sparsify_and_record)
-from .model import Adapter, FrozenBackbone
-from .numerics import (ContractViolation, OptimizerState, Tape, backward,
+from .model import Adapter, Block, FrozenBackbone
+from .numerics import (ContractViolation, NumericError, OptimizerState,
                        sgd_step)
 from .rng import TAG_ALIGN, TAG_MASK, TAG_SHUFFLE, stream_rng, stream_uniforms
 
@@ -88,15 +88,6 @@ def build_classifier(prototypes: dict[int, np.ndarray], order) -> np.ndarray:
     return np.stack(rows) if rows else np.zeros((0, 0))
 
 
-def expand_head(classifier: np.ndarray, class_ids, new_classes) -> tuple[np.ndarray, list[int]]:
-    """Append zero rows for the new classes; old rows stay untouched."""
-    for c in new_classes:
-        if c in class_ids:
-            raise ContractViolation(f"class {c} already present in head")
-    extra = np.zeros((len(new_classes), classifier.shape[1]))
-    return np.vstack([classifier, extra]), list(class_ids) + list(new_classes)
-
-
 def fit_class_gaussians(features_by_class: dict[int, np.ndarray]):
     """Per-dimension sample mean and population variance, variance floored."""
     stats = {}
@@ -159,88 +150,148 @@ def _epoch_mask_uniforms(run_seed, task_index, epoch, n, batch, layers, width):
     return uniforms
 
 
-def build_batch_tape(state, adapter_params, head_new, x, y, col_of, cfg, phase,
-                     profiles, prev_adapters, mask_u):
-    """Record one batch's forward graph; returns (tape, loss node, leaf names).
+@dataclass
+class BlockRecord:
+    """What ``backward`` reads of one block from the first target layer on."""
 
-    ``mask_u`` maps each target layer to the batch's ``(B, width)`` mask
-    uniforms; it is read only when SGDS is enabled.
+    layer: int
+    block: Block
+    a: np.ndarray            # block input, after the mask
+    pre: np.ndarray          # a @ w1 + b1
+    mask: np.ndarray | None  # 0/1 input mask at a masked target layer
+    z: np.ndarray | None     # a @ W_down at a target layer
+
+
+@dataclass
+class BatchTape:
+    """The activations of one batch's forward pass that ``backward`` reads."""
+
+    nodes: list[BlockRecord]
+    features: np.ndarray
+    classifier: np.ndarray  # old-class head rows; their logits come first
+    dlogits: np.ndarray     # d loss / d logits
+    penalty: list[tuple[str, np.ndarray, np.ndarray]]  # (param, W W_prev^T, W_prev)
+    reg_lambda: float
+
+
+def _check_finite(name: str, value) -> None:
+    if not np.all(np.isfinite(value)):
+        raise NumericError(f"non-finite {name}")
+
+
+def build_batch_tape(state, params, x, y, col_of, cfg, phase, profiles,
+                     prev_adapters, mask_u):
+    """Forward pass of one batch; returns (tape, loss).
+
+    ``params`` maps ``head_new`` and ``wd_<l>``/``wu_<l>`` per target layer to
+    the arrays ``sgd_step`` updates.  ``mask_u`` maps each target layer to the
+    batch's ``(B, width)`` mask uniforms; it is read only when SGDS is enabled.
     """
-    tape = Tape()
-    leaf_names: dict[int, str] = {}
-
-    def param_leaf(name, arr):
-        nid = tape.leaf(arr, trainable=True)
-        leaf_names[nid] = name
-        return nid
-
-    wd_nodes, wu_nodes = {}, {}
-    for l in state.target_layers:
-        wd_nodes[l] = param_leaf(f"wd_{l}", adapter_params[l][0])
-        wu_nodes[l] = param_leaf(f"wu_{l}", adapter_params[l][1])
-    head_node = param_leaf("head_new", head_new)  # (d, n_new)
-
-    masking = cfg.sgds_enabled
+    for name, p in params.items():
+        _check_finite(name, p)
     sp = cfg.sparsifier
-    a = tape.leaf(x)
+    phase_active = cfg.se_enabled if phase is Phase.EXPLORATION else cfg.ac_enabled
+    classes, row_class = np.unique(y, return_inverse=True)
+    nodes = []
+    a = x
     for l, block in enumerate(state.backbone.blocks):
-        if l in state.target_layers and masking:
-            phase_active = (cfg.se_enabled if phase is Phase.EXPLORATION
-                            else cfg.ac_enabled)
-            cfg_phase = replace(sp, phase=phase)
+        target = l in state.target_layers
+        if not (target or nodes):  # before the first target layer nothing trains
+            a = a + block.mlp(a)
+            continue
+        mask = None
+        if target and cfg.sgds_enabled:
             # per-class probabilities from the counter state at batch start
-            classes, row_class = np.unique(y, return_inverse=True)
             if phase_active:
+                cfg_phase = replace(sp, phase=phase)
                 probs = np.stack([dispatch_probability(
                     profiles[int(c)], state.counters, l, cfg_phase)
                     for c in classes])
             else:
                 probs = np.ones((len(classes), state.backbone.width))
             out = sparsify_and_record(
-                tape.value(a), probs[row_class], sp.k, mask_u[l],
+                a, probs[row_class], sp.k, mask_u[l],
                 counters=state.counters, c=y, layer=l, record=True)
-            a = tape.mask_mul(a, (out != 0.0).astype(np.float64))
-        # frozen MLP path
-        h = tape.add(tape.matmul(tape.relu(tape.add(tape.matmul(a, tape.leaf(block.w1)),
-                                                    tape.leaf(block.b1))),
-                                 tape.leaf(block.w2)),
-                     tape.leaf(block.b2))
-        out = tape.add(a, h)
-        if l in state.target_layers:
-            branch = tape.matmul(tape.relu(tape.matmul(a, wd_nodes[l])), wu_nodes[l])
-            out = tape.add(out, branch)
+            mask = (out != 0.0).astype(np.float64)
+            a = a * mask
+        pre = a @ block.w1 + block.b1
+        out = a + (np.maximum(pre, 0.0) @ block.w2 + block.b2)
+        z = None
+        if target:
+            z = a @ params[f"wd_{l}"]
+            out = out + np.maximum(z, 0.0) @ params[f"wu_{l}"]
+        nodes.append(BlockRecord(l, block, a, pre, mask, z))
         a = out
 
+    logits = np.concatenate([a @ state.classifier.T, a @ params["head_new"]],
+                            axis=1)
+    _check_finite("logits", logits)
     labels = np.array([col_of[int(c)] for c in y], dtype=np.int64)
-    if state.classifier.shape[0]:
-        logits_old = tape.matmul(a, tape.leaf(state.classifier.T))
-        logits = tape.concat_cols(logits_old, tape.matmul(a, head_node))
-    else:
-        logits = tape.matmul(a, head_node)
-    loss = tape.softmax_xent_mean(logits, labels)
+    rows = np.arange(len(labels))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=1))
+    loss = (logsumexp - shifted[rows, labels]).mean()
+    dlogits = np.exp(shifted - logsumexp[:, None])  # softmax
+    dlogits[rows, labels] -= 1.0
+    dlogits /= len(labels)
 
-    if cfg.param_reg_mode != "off" and prev_adapters:
-        pen = None
+    # orthogonality penalty: sum of ||W W_prev^T||_F^2 over previous tasks
+    penalty = []
+    if cfg.param_reg_mode != "off":
         for l in state.target_layers:
             for prev in prev_adapters:
                 pd, pu = prev.layers[l]
                 if cfg.param_reg_mode in ("down", "both"):
-                    term = tape.sum_squares(tape.matmul(wd_nodes[l], tape.leaf(pd.T)))
-                    pen = term if pen is None else tape.add(pen, term)
+                    penalty.append((f"wd_{l}", params[f"wd_{l}"] @ pd.T, pd))
                 if cfg.param_reg_mode in ("up", "both"):
-                    term = tape.sum_squares(tape.matmul(wu_nodes[l], tape.leaf(pu.T)))
-                    pen = term if pen is None else tape.add(pen, term)
-        if pen is not None:
-            loss = tape.add(loss, tape.scale(pen, cfg.param_reg_lambda))
-    return tape, loss, leaf_names
+                    penalty.append((f"wu_{l}", params[f"wu_{l}"] @ pu.T, pu))
+    if penalty:
+        pen = 0.0
+        for _, v, _ in penalty:
+            pen += np.sum(v * v)
+        loss = loss + pen * cfg.param_reg_lambda
+    _check_finite("loss", loss)
+    tape = BatchTape(nodes, a, state.classifier, dlogits, penalty,
+                     cfg.param_reg_lambda)
+    return tape, float(loss)
 
 
-def _batch_step(*args):
-    """One tape forward/backward over a batch; returns (loss, grads by name)."""
-    tape, loss, leaf_names = build_batch_tape(*args)
-    grads = backward(tape, loss)
-    named = {leaf_names[nid]: g for nid, g in grads.items()}
-    return float(tape.value(loss)), named
+def _accumulate(grads: dict, name: str, g: np.ndarray) -> None:
+    grads[name] = grads[name] + g if name in grads else g
+
+
+def backward(tape: BatchTape, params: dict) -> dict:
+    """Gradients of the batch loss, keyed like ``params``.
+
+    Each sum runs in one fixed order (penalty terms last to first, then the
+    data term; at a block input the adapter, residual and MLP paths, then
+    the mask), so a run repeats bit for bit.
+    """
+    grads: dict[str, np.ndarray] = {}
+    for name, v, w_prev in reversed(tape.penalty):
+        _accumulate(grads, name, (tape.reg_lambda * 2.0 * v) @ w_prev)
+    n_old = len(tape.classifier)
+    g_new = tape.dlogits[:, n_old:]
+    grads["head_new"] = tape.features.T @ g_new
+    g = g_new @ params["head_new"].T + tape.dlogits[:, :n_old] @ tape.classifier
+    for node in reversed(tape.nodes):
+        g_in = g
+        if node.z is not None:
+            wd, wu = f"wd_{node.layer}", f"wu_{node.layer}"
+            _accumulate(grads, wu, np.maximum(node.z, 0.0).T @ g)
+            g_z = (g @ params[wu].T) * (node.z > 0.0)
+            _accumulate(grads, wd, node.a.T @ g_z)
+            if node is tape.nodes[0]:
+                break  # nothing before the first target layer trains
+            g_in = g_z @ params[wd].T + g
+        w1, w2 = node.block.w1, node.block.w2
+        g_in = g_in + ((g @ w2.T) * (node.pre > 0.0)) @ w1.T
+        if node.mask is not None:
+            g_in = g_in * node.mask
+        g = g_in
+    for name, g in grads.items():
+        _check_finite(f"gradient of {name}", g)
+    return grads
 
 
 def train_task(state: ContinualState, task, cfg: TrainConfig,
@@ -270,13 +321,9 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     # phase 2: adapter + new-head training
     adapter = Adapter.create(task_index, d, cfg.adapter_rank,
                              state.target_layers, run_seed)
-    adapter_params = {l: (adapter.layers[l][0], adapter.layers[l][1])
-                      for l in state.target_layers}
-    head_new = np.zeros((d, len(task.classes)))
-    params = {"head_new": head_new}
+    params = {"head_new": np.zeros((d, len(task.classes)))}
     for l in state.target_layers:
-        params[f"wd_{l}"] = adapter_params[l][0]
-        params[f"wu_{l}"] = adapter_params[l][1]
+        params[f"wd_{l}"], params[f"wu_{l}"] = adapter.layers[l]
     col_of = {c: i for i, c in enumerate(state.class_ids)}
     col_of.update({c: len(state.class_ids) + i for i, c in enumerate(task.classes)})
 
@@ -296,11 +343,10 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
         for start in range(0, n, cfg.batch):
             idx = order[start:start + cfg.batch]
             mask_u = {l: u[start:start + cfg.batch] for l, u in epoch_u.items()}
-            loss, grads = _batch_step(
-                state, adapter_params, head_new, task.train_x[idx],
-                task.train_y[idx], col_of, cfg, phase, profiles,
-                state.adapters, mask_u)
-            sgd_step(opt, params, grads)
+            tape, loss = build_batch_tape(
+                state, params, task.train_x[idx], task.train_y[idx], col_of,
+                cfg, phase, profiles, state.adapters, mask_u)
+            sgd_step(opt, params, backward(tape, params))
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
 

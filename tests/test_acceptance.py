@@ -20,7 +20,7 @@ from sgds.masking import (ActivationCounters, allocation_probability,
                           sparsify_and_record)
 from sgds.model import Adapter, merge_universal
 
-from test_numerics import make_adapter_graph, max_rel_error_vs_fd
+from test_numerics import engine_graph, max_rel_error_vs_fd
 from test_training import trained_state
 
 SEEDS = (1993, 1994, 1995, 1996, 1997)
@@ -208,8 +208,7 @@ def test_04_gradients_match_finite_differences(verdict):
     for i in range(50):
         d = int(rng.integers(2, 17))
         r = int(rng.integers(1, min(4, max(2, d // 2)) + 1))
-        params, loss_fn = make_adapter_graph(
-            seed=1000 + i, d=d, r=r, with_mask=bool(i % 2))
+        params, loss_fn = engine_graph(1000 + i, d=d, r=r, masked=bool(i % 2))
         worst = max(worst, max_rel_error_vs_fd(params, loss_fn))
     verdict(4, "adapter-graph gradients match central finite differences "
             f"over 50 random graphs (max rel err {worst:.2e})", worst < 1e-4)

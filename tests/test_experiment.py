@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -186,15 +187,23 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", str(bad)]) == 1
 
 
-@pytest.mark.parametrize("var,value", [("SGDS_TRAIN_BATCH", "0"),
-                                       ("SGDS_TRAIN_BATCH", "-5"),
-                                       ("SGDS_TRAIN_EPOCHS", "0")])
+BAD_VALUES = [("SGDS_TRAIN_BATCH", "0", "must be at least 1"),
+              ("SGDS_TRAIN_BATCH", "-5", "must be at least 1"),
+              ("SGDS_TRAIN_EPOCHS", "0", "must be at least 1"),
+              ("SGDS_ALIGN_SAMPLES", "-4", "must be at least 0"),
+              ("SGDS_TRAIN_LR", "nan", "must be finite"),
+              ("SGDS_TRAIN_MOMENTUM", "inf", "must be finite"),
+              ("SGDS_SGDS_BETA", "-inf", "must be finite")]
+
+
+@pytest.mark.parametrize("var,value,message", BAD_VALUES,
+                         ids=[f"{var}-{value}" for var, value, _ in BAD_VALUES])
 def test_cli_rejects_nonpositive_batch_and_epochs(tmp_path, monkeypatch,
-                                                  capsys, var, value):
+                                                  capsys, var, value, message):
     monkeypatch.setenv(var, value)
     out = tmp_path / "o"
     assert main(["run", str(quick_config(tmp_path)), "--out", str(out)]) == 1
-    assert "must be at least 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -212,6 +221,55 @@ def test_cli_gen_synthetic_round_trip(tmp_path):
     x, y, nc = load_embeddings(out_file)
     assert nc == 6
     assert x.shape == (6 * 30, 16)
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    """A quick config and the checkpoint directory its run saved."""
+    tmp = tmp_path_factory.mktemp("saved")
+    cfg_path = quick_config(tmp)
+    assert main(["run", str(cfg_path), "--out", str(tmp / "out")]) == 0
+    return cfg_path, tmp / "out" / "seed_1993" / "checkpoint"
+
+
+@pytest.mark.parametrize("name,size,offset", [
+    ("adapter_000.sgdsadp", 4, 0),
+    ("adapter_000.sgdsadp", 20, 8),
+    ("adapter_000.sgdsadp", 40, 32),
+    ("adapter_001.sgdsadp", 32 + 8 * 64 + 8, 32 + 8 * 64),
+    ("adapter_002.sgdsadp", -1, 32 + 8 * 64),
+    ("stats.bin", 20, 8),
+    ("stats.bin", 40, 37),
+    ("stats.bin", 37 + 4 + 8 * 16 + 3, 37 + 4 + 8 * 16),
+    ("stats.bin", -8, 37 + 5 * (4 + 24 * 16) + 4 + 16 * 16)])
+def test_cli_eval_rejects_truncated_checkpoint(saved_run, tmp_path, capsys,
+                                               name, size, offset):
+    cfg_path, ckpt = saved_run
+    cut = tmp_path / "ckpt"
+    shutil.copytree(ckpt, cut)
+    blob = (cut / name).read_bytes()
+    (cut / name).write_bytes(blob[:size])
+    assert main(["eval", str(cut), str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert name in err and f"(byte offset {offset})" in err
+
+
+def test_cli_eval_rejects_checkpoint_of_another_backbone(saved_run, monkeypatch,
+                                                         capsys):
+    cfg_path, ckpt = saved_run
+    monkeypatch.setenv("SGDS_MODEL_LAYERS", "3")
+    assert main(["eval", str(ckpt), str(cfg_path)]) == 1
+    assert "adapter for 2 blocks" in capsys.readouterr().err
+
+
+def test_cli_rejects_malformed_embedding_file(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.sgdsemb"
+    bad.write_bytes(b"garbage")
+    monkeypatch.setenv("SGDS_DATASET_KIND", "embeddings")
+    monkeypatch.setenv("SGDS_DATASET_PATH", str(bad))
+    assert main(["run", str(quick_config(tmp_path)),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "bad magic (byte offset 0)" in capsys.readouterr().err
 
 
 def test_checkpoint_state_round_trip(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from sgds.masking import Phase, SparsifierConfig
 from sgds.model import (Adapter, Block, FrozenBackbone, block_forward,
-                        extract, load_adapter, merge_universal,
-                        orthogonality_penalty, save_adapter)
+                        extract, load_adapter, merge_universal, save_adapter)
 from sgds.numerics import ContractViolation
+from sgds.training import ContinualState, TrainConfig, build_batch_tape
 
 
 def zero_block(d):
@@ -36,8 +37,7 @@ def test_block_forward_hand_example():
 
 def test_block_forward_zero_propagation():
     block = zero_block(3)
-    out = block_forward(np.array([1.0, -2.0, 3.0]), block,
-                        mask_hook=lambda x: np.zeros_like(x))
+    out = block_forward(np.zeros(3), block)
     np.testing.assert_array_equal(out, np.zeros(3))
 
 
@@ -122,6 +122,28 @@ def test_merge_matches_brute_force():
             assert merged[j] == expect
 
 
+def orthogonality_penalty(cur, previous, mode):
+    """The training loss with the penalty at lambda 1, minus the loss without."""
+    layers = cur.target_layers
+    d = cur.layers[layers[0]][0].shape[0]
+    x = np.random.default_rng(0).normal(size=(2, d))
+    params = {"head_new": np.ones((d, 2))}
+    for l in layers:
+        params[f"wd_{l}"], params[f"wu_{l}"] = cur.layers[l]
+    losses = []
+    for m in ("off", mode):
+        cfg = TrainConfig(epochs=2, sgds_enabled=False, se_enabled=False,
+                          ac_enabled=False, param_reg_mode=m,
+                          param_reg_lambda=1.0,
+                          sparsifier=SparsifierConfig(target_layers=layers))
+        state = ContinualState.create(FrozenBackbone.create(max(layers) + 1, d),
+                                      cfg)
+        losses.append(build_batch_tape(state, params, x, np.array([0, 1]),
+                                       {0: 0, 1: 1}, cfg, Phase.EXPLORATION,
+                                       {}, previous, {})[1])
+    return losses[1] - losses[0]
+
+
 def test_penalty_orthogonal_rows_zero():
     cur = Adapter(1, 2, {0: (np.zeros((4, 2)),
                              np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))})
@@ -163,6 +185,19 @@ def test_adapter_checkpoint_round_trip(tmp_path):
     assert loaded.task_id == 5 and loaded.rank == 3
     assert loaded.target_layers == (1, 3)
     np.testing.assert_array_equal(loaded.flatten(), a.flatten())
+
+
+def test_load_adapter_reports_truncation_and_trailing_bytes(tmp_path):
+    a = rand_adapter(np.random.default_rng(9), d=6, r=3, layers=(1, 3))
+    path = tmp_path / "a.sgdsadp"
+    save_adapter(path, a, num_blocks=4, d=6)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-1])
+    with pytest.raises(ContractViolation, match=r"W_up of layer 3 \(byte offset"):
+        load_adapter(path)
+    path.write_bytes(blob + b"\0")
+    with pytest.raises(ContractViolation, match=f"byte offset {len(blob)}"):
+        load_adapter(path)
 
 
 def test_adapter_rank_bound():

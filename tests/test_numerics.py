@@ -1,112 +1,73 @@
+"""The training engine's loss and hand-written gradients, and SGD.
+
+Every graph runs through ``build_batch_tape``/``backward``; the gradient
+oracle is central finite differences.
+"""
 import math
 
 import numpy as np
 import pytest
 
+from sgds.masking import Phase, SparsifierConfig
+from sgds.model import Adapter, FrozenBackbone
 from sgds.numerics import (ContractViolation, NumericError, OptimizerState,
-                           Tape, backward, cosine_lr, cross_entropy, sgd_step)
+                           cosine_lr, sgd_step)
+from sgds.training import (ContinualState, TrainConfig, backward,
+                           build_batch_tape)
 
 
-def test_cross_entropy_uniform_two_class():
-    assert cross_entropy([0.0, 0.0], 0) == pytest.approx(math.log(2), abs=1e-12)
+def engine_graph(seed, d, r, layers=1, targets=(0,), masked=False, n_old=0,
+                 n_new=4, reg="off", batch=3):
+    """Random trainable params and ``loss_fn(params) -> (tape, loss)``.
 
-
-def test_cross_entropy_confident():
-    # -log sigmoid(20) evaluated in high precision
-    expected = math.log1p(math.exp(-20.0))
-    assert cross_entropy([10.0, -10.0], 0) == pytest.approx(expected, rel=1e-9)
-
-
-def test_cross_entropy_uniform_three_class():
-    assert cross_entropy([1.0, 1.0, 1.0], 2) == pytest.approx(math.log(3), abs=1e-12)
-
-
-def test_cross_entropy_empty_logits():
-    with pytest.raises(ContractViolation):
-        cross_entropy([], 0)
-
-
-def test_backward_linear_identity():
-    tape = Tape()
-    v = tape.leaf(np.array([3.0, -1.0]), trainable=True)
-    loss = tape.matmul(v, tape.leaf(np.ones(2)))  # sum of the vector
-    grads = backward(tape, loss)
-    np.testing.assert_array_equal(grads[v], [1.0, 1.0])
-
-
-def test_backward_uniform_softmax_gradient():
-    tape = Tape()
-    logits = tape.leaf(np.array([[0.0, 0.0]]), trainable=True)
-    loss = tape.softmax_xent_mean(logits, np.array([0]))
-    grads = backward(tape, loss)
-    np.testing.assert_allclose(grads[logits], [[-0.5, 0.5]], atol=1e-12)
-
-
-def test_backward_rejects_nonscalar_loss():
-    tape = Tape()
-    v = tape.leaf(np.ones(3), trainable=True)
-    with pytest.raises(ContractViolation):
-        backward(tape, v)
-
-
-def test_nonfinite_value_raises_with_op_index():
-    tape = Tape()
-    with pytest.raises(NumericError) as exc:
-        tape.leaf(np.array([1.0, np.nan]))
-    assert exc.value.op_index == 0
-
-
-def test_frozen_leaves_get_no_gradient():
-    tape = Tape()
-    w = tape.leaf(np.ones(2), trainable=True)
-    frozen = tape.leaf(np.array([2.0, 5.0]))
-    loss = tape.matmul(w, frozen)
-    grads = backward(tape, loss)
-    assert set(grads) == {w}
-
-
-def make_adapter_graph(seed, d, r, n_classes=4, with_mask=False, batch=3):
+    ``masked`` turns the top-k input mask on at every target layer; ``n_old``
+    random old-class head rows and ``reg`` (with two previous adapters) add
+    the old logits and the orthogonality penalty.  Each call starts from
+    fresh counters, so every evaluation sees the same mask.
+    """
     rng = np.random.default_rng(seed)
+    cfg = TrainConfig(epochs=2, batch=batch, adapter_rank=r,
+                      sgds_enabled=masked, se_enabled=False, ac_enabled=False,
+                      param_reg_mode=reg, param_reg_lambda=0.7,
+                      sparsifier=SparsifierConfig(target_layers=targets))
+    backbone = FrozenBackbone.create(layers, d)
+    params = {"head_new": rng.normal(size=(d, n_new))}
+    for l in targets:
+        params[f"wd_{l}"] = rng.normal(size=(d, r))
+        params[f"wu_{l}"] = rng.normal(size=(r, d)) * 0.5
+    prev = [Adapter(t, r, {l: (rng.normal(size=(d, r)), rng.normal(size=(r, d)))
+                           for l in targets}) for t in range(2)]
+    classifier = rng.normal(size=(n_old, d))
     x = rng.normal(size=(batch, d))
-    mask = (rng.random((batch, d)) < 0.7).astype(float) if with_mask else None
-    params = {
-        "wd": rng.normal(size=(d, r)),
-        "wu": rng.normal(size=(r, d)) * 0.5,
-        "head": rng.normal(size=(d, n_classes)),
-    }
-    labels = rng.integers(0, n_classes, size=batch)
+    y = rng.integers(n_old, n_old + n_new, size=batch)
+    col_of = {c: c for c in range(n_old + n_new)}
+    mask_u = {l: rng.random((batch, d)) for l in targets}
 
     def loss_fn(p):
-        tape = Tape()
-        nodes = {k: tape.leaf(v, trainable=True) for k, v in p.items()}
-        a = tape.leaf(x)
-        if mask is not None:
-            a = tape.mask_mul(a, mask)
-        branch = tape.matmul(tape.relu(tape.matmul(a, nodes["wd"])), nodes["wu"])
-        feats = tape.add(a, branch)
-        logits = tape.matmul(feats, nodes["head"])
-        loss = tape.softmax_xent_mean(logits, labels)
-        return tape, loss, nodes
+        state = ContinualState.create(backbone, cfg)
+        state.classifier = classifier
+        for c in col_of:
+            state.counters.ensure_class(c)
+        return build_batch_tape(state, p, x, y, col_of, cfg, Phase.EXPLORATION,
+                                {}, prev, mask_u)
 
     return params, loss_fn
 
 
 def max_rel_error_vs_fd(params, loss_fn, h=1e-5):
-    tape, loss, nodes = loss_fn(params)
-    grads = backward(tape, loss)
+    tape, _ = loss_fn(params)
+    grads = backward(tape, params)
     worst = 0.0
     for name, p in params.items():
-        analytic = grads[nodes[name]]
+        analytic = grads[name]
         it = np.nditer(p, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
             orig = p[idx]
             p[idx] = orig + h
-            tp, ln, _ = loss_fn(params)
-            up = float(tp.value(ln))
+            up = loss_fn(params)[1]
             p[idx] = orig - h
-            tp, ln, _ = loss_fn(params)
-            down = float(tp.value(ln))
+            down = loss_fn(params)[1]
             p[idx] = orig
             numeric = (up - down) / (2 * h)
             denom = max(abs(numeric), abs(analytic[idx]), 1e-6)
@@ -114,31 +75,104 @@ def max_rel_error_vs_fd(params, loss_fn, h=1e-5):
     return worst
 
 
+def single_row(logits, label, d=8):
+    """Engine tape, loss and params of one row whose logits are ``logits``."""
+    cfg = TrainConfig(epochs=2, sgds_enabled=False, se_enabled=False,
+                      ac_enabled=False, sparsifier=SparsifierConfig(target_layers=(0,)))
+    state = ContinualState.create(FrozenBackbone.create(1, d), cfg)
+    x = np.random.default_rng(0).normal(size=(1, d))
+    n = len(logits)
+    params = {"head_new": np.zeros((d, n)), "wd_0": np.zeros((d, 2)),
+              "wu_0": np.zeros((2, d))}
+
+    def run():
+        return build_batch_tape(state, params, x, np.array([label]),
+                                {c: c for c in range(n)}, cfg,
+                                Phase.EXPLORATION, {}, [], {})
+
+    f = run()[0].features[0]
+    params["head_new"] = np.outer(f, logits) / (f @ f)
+    tape, loss = run()
+    return tape, loss, params
+
+
+def test_cross_entropy_uniform_two_class():
+    assert single_row([0.0, 0.0], 0)[1] == pytest.approx(math.log(2), abs=1e-12)
+
+
+def test_cross_entropy_confident():
+    # -log sigmoid(20) evaluated in high precision
+    expected = math.log1p(math.exp(-20.0))
+    assert single_row([10.0, -10.0], 0)[1] == pytest.approx(expected, rel=1e-9)
+
+
+def test_cross_entropy_uniform_three_class():
+    assert single_row([1.0, 1.0, 1.0], 2)[1] == pytest.approx(math.log(3),
+                                                              abs=1e-12)
+
+
+def test_backward_uniform_softmax_gradient():
+    tape, _, params = single_row([0.0, 0.0], 0)
+    np.testing.assert_allclose(tape.dlogits, [[-0.5, 0.5]], atol=1e-12)
+    grads = backward(tape, params)
+    np.testing.assert_array_equal(
+        grads["head_new"], np.outer(tape.features[0], [-0.5, 0.5]))
+
+
+def test_nonfinite_parameter_raises_naming_it():
+    params, loss_fn = engine_graph(5, d=6, r=2, layers=2, targets=(0, 1))
+    params["wu_1"][0, 3] = np.nan
+    with pytest.raises(NumericError, match="non-finite wu_1"):
+        loss_fn(params)
+
+
+def test_frozen_leaves_get_no_gradient():
+    params, loss_fn = engine_graph(6, d=6, r=2, layers=3, targets=(1,),
+                                   n_old=2, reg="both")
+    grads = backward(loss_fn(params)[0], params)
+    assert set(grads) == set(params)
+    for name, g in grads.items():
+        assert g.shape == params[name].shape
+
+
 def test_gradients_match_finite_differences():
-    params, loss_fn = make_adapter_graph(7, d=8, r=3)
+    params, loss_fn = engine_graph(7, d=8, r=3)
     assert max_rel_error_vs_fd(params, loss_fn) < 1e-4
 
 
 def test_gradients_match_finite_differences_with_mask():
-    params, loss_fn = make_adapter_graph(11, d=8, r=3, with_mask=True)
+    params, loss_fn = engine_graph(11, d=8, r=3, masked=True)
+    assert max_rel_error_vs_fd(params, loss_fn) < 1e-4
+
+
+def test_gradients_match_finite_differences_through_frozen_blocks():
+    # blocks 0 and 2 are frozen; 2 and 3 carry the gradient to layer 1 through
+    # the residual, the MLP and the layer-3 mask; old rows and both penalties
+    params, loss_fn = engine_graph(13, d=8, r=3, layers=4, targets=(1, 3),
+                                   masked=True, n_old=3, n_new=3, reg="both",
+                                   batch=4)
+    tape = loss_fn(params)[0]
+    assert [n.layer for n in tape.nodes] == [1, 2, 3]
+    assert [n.mask is not None for n in tape.nodes] == [True, False, True]
+    assert 0 < tape.nodes[2].mask.sum() < tape.nodes[2].mask.size
     assert max_rel_error_vs_fd(params, loss_fn) < 1e-4
 
 
 def test_mask_zeroes_gradient_exactly():
-    tape = Tape()
-    v = tape.leaf(np.array([[1.0, 2.0, 3.0]]), trainable=True)
-    masked = tape.mask_mul(v, np.array([[1.0, 0.0, 1.0]]))
-    loss = tape.softmax_xent_mean(masked, np.array([0]))
-    grads = backward(tape, loss)
-    assert grads[v][0, 1] == 0.0
+    params, loss_fn = engine_graph(3, d=8, r=3, masked=True, batch=1)
+    tape = loss_fn(params)[0]
+    dropped = tape.nodes[0].mask[0] == 0.0
+    assert dropped.any()
+    grads = backward(tape, params)
+    assert np.all(grads["wd_0"][dropped] == 0.0)
 
 
 def test_tape_determinism():
     def run():
-        params, loss_fn = make_adapter_graph(3, d=6, r=2)
-        tape, loss, nodes = loss_fn(params)
-        grads = backward(tape, loss)
-        return float(tape.value(loss)), {k: grads[n].copy() for k, n in nodes.items()}
+        params, loss_fn = engine_graph(3, d=6, r=2, layers=2, targets=(0, 1),
+                                       masked=True, n_old=2, reg="both")
+        tape, loss = loss_fn(params)
+        return loss, backward(tape, params)
 
     l1, g1 = run()
     l2, g2 = run()

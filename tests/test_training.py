@@ -8,8 +8,7 @@ from sgds.numerics import ContractViolation
 from sgds.rng import TAG_MASK, stream_rng
 from sgds.training import (ContinualState, TrainConfig, _epoch_mask_uniforms,
                            align_old_prototypes, build_batch_tape,
-                           build_classifier, expand_head, fit_class_gaussians,
-                           train_task)
+                           build_classifier, fit_class_gaussians, train_task)
 
 
 def small_config(**kw):
@@ -47,16 +46,6 @@ def test_build_classifier_unit_rows_and_scale_invariance():
 def test_build_classifier_zero_prototype():
     with pytest.raises(ContractViolation):
         build_classifier({0: np.zeros(3)}, [0])
-
-
-def test_expand_head_counts_and_duplicates():
-    w = np.ones((95, 8))
-    w2, ids = expand_head(w, list(range(95)), [95, 96, 97, 98, 99])
-    assert w2.shape == (100, 8)
-    np.testing.assert_array_equal(w2[95:], np.zeros((5, 8)))
-    np.testing.assert_array_equal(w2[:95], w)
-    with pytest.raises(ContractViolation):
-        expand_head(w2, ids, [97])
 
 
 def test_fit_gaussians_single_sample_floor():
@@ -175,12 +164,13 @@ def test_counter_growth_locality():
     assert state.counters.f.sum() > 0
 
 
-def _tape_ops_for(cfg):
+def _batch_tape_for(cfg):
+    """One batch's tape, and how much it added to the global counters."""
     stream = small_stream(tasks=1)
     state = fresh_state(cfg)
     task = stream.tasks[0]
-    adapter_params = {1: (np.zeros((16, 4)), np.zeros((4, 16)))}
-    head = np.zeros((16, len(task.classes)))
+    params = {"head_new": np.zeros((16, len(task.classes))),
+              "wd_1": np.zeros((16, 4)), "wu_1": np.zeros((4, 16))}
     col_of = {c: i for i, c in enumerate(task.classes)}
     for c in task.classes:
         state.counters.ensure_class(c)
@@ -190,22 +180,27 @@ def _tape_ops_for(cfg):
     profiles = {c: formulate_strategy(c, relation_distribution(c, protos),
                                       (), task.classes)
                 for c in task.classes}
-    tape, loss, _ = build_batch_tape(
-        state, adapter_params, head, task.train_x[:8], task.train_y[:8],
-        col_of, cfg, Phase.EXPLORATION, profiles, [],
-        {1: np.full((8, 16), 0.5)})
-    return [n.op for n in tape.nodes]
+    before = state.counters.f.copy()
+    tape, _ = build_batch_tape(
+        state, params, task.train_x[:8], task.train_y[:8], col_of, cfg,
+        Phase.EXPLORATION, profiles, [], {1: np.full((8, 16), 0.5)})
+    return tape, state.counters.f - before
 
 
 def test_disabling_sgds_removes_mask_ops():
-    ops = _tape_ops_for(small_config(sgds_enabled=False, se_enabled=False,
-                                     ac_enabled=False))
-    assert "mask_mul" not in ops
+    tape, recorded = _batch_tape_for(small_config(
+        sgds_enabled=False, se_enabled=False, ac_enabled=False))
+    assert [n.mask for n in tape.nodes] == [None]
+    assert not recorded.any()
 
 
 def test_enabled_sgds_masks_target_layer():
-    ops = _tape_ops_for(small_config())
-    assert ops.count("mask_mul") == 1
+    tape, recorded = _batch_tape_for(small_config())
+    assert [n.layer for n in tape.nodes] == [1]
+    mask = tape.nodes[0].mask
+    assert mask.shape == (8, 16) and 0 < mask.sum() < mask.size
+    # every unit the mask keeps is counted once, at the target layer
+    np.testing.assert_array_equal(recorded[0], mask.sum(axis=0))
 
 
 def test_config_needs_two_epochs_for_two_phases():
