@@ -51,9 +51,9 @@ def load_state(dirpath, backbone: FrozenBackbone) -> ContinualState:
     class_ids, class_stats, rows = [], {}, []
     for _ in range(n_classes):
         (c,) = r.unpack("<I", "class id")
-        mean = r.floats(d, f"mean of class {c}")
-        var = r.floats(d, f"variance of class {c}")
-        rows.append(r.floats(d, f"classifier row of class {c}"))
+        mean = r.array("<f8", d, f"mean of class {c}")
+        var = r.array("<f8", d, f"variance of class {c}")
+        rows.append(r.array("<f8", d, f"classifier row of class {c}"))
         class_ids.append(int(c))
         class_stats[int(c)] = (mean, var)
     r.end()
@@ -65,8 +65,14 @@ def load_state(dirpath, backbone: FrozenBackbone) -> ContinualState:
         counters=ActivationCounters(target_layers, d),
     )
     names = sorted(n for n in os.listdir(dirpath) if n.endswith(".sgdsadp"))
+    if not names:
+        raise ContractViolation(f"{dirpath}: no adapter_*.sgdsadp file")
     for name in names:
         adapter, num_blocks, ad = load_adapter(os.path.join(dirpath, name))
+        if adapter.task_id != len(state.adapters):
+            raise ContractViolation(
+                f"{name}: adapter of task {adapter.task_id}, expected task "
+                f"{len(state.adapters)} (task ids must run 0..T-1 in file order)")
         if (num_blocks, ad) != (backbone.num_blocks, backbone.width):
             raise ContractViolation(
                 f"{name}: adapter for {num_blocks} blocks of width {ad}, "

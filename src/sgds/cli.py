@@ -43,7 +43,13 @@ def _cmd_eval(args) -> int:
     backbone = FrozenBackbone.create(cfg["model.layers"], cfg["model.dim"])
     state = load_state(args.checkpoint, backbone)
     stream = build_stream(cfg, cfg.seeds[0])
-    sets = [(t.test_x, t.test_y) for t in stream.tasks[: len(state.adapters)]]
+    tasks = stream.tasks[: len(state.adapters)]
+    classes = [c for t in tasks for c in t.classes]
+    if state.class_ids != classes:
+        raise ContractViolation(
+            f"checkpoint classes {state.class_ids} are not the classes "
+            f"{classes} of the stream's first {len(state.adapters)} tasks")
+    sets = [(t.test_x, t.test_y) for t in tasks]
     accs = evaluate_row(state, sets)
     for j, acc in enumerate(accs, 1):
         print(f"task {j}: {acc:.4f}")

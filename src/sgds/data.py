@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import BlobReader
 from .numerics import ContractViolation, FormatError
 from .rng import TAG_DATA, TAG_SPLIT, stream_rng
 
@@ -135,45 +136,42 @@ def generate_synthetic(spec: SyntheticSpec, num_tasks: int,
     return make_task_stream(train, test, spec.dim, num_tasks, seed)
 
 
+def _emb_record(dim: int) -> np.dtype:
+    """One SGDSEMB1 sample: a u32 label, then ``dim`` float32 features."""
+    return np.dtype([("label", "<u4"), ("x", "<f4", (dim,))])
+
+
 def write_embeddings(path, x: np.ndarray, y: np.ndarray, num_classes: int) -> None:
     """Write samples in the SGDSEMB1 little-endian binary layout."""
     x = np.asarray(x, dtype="<f4")
-    y = np.asarray(y, dtype=np.uint32)
+    rec = np.empty(x.shape[0], dtype=_emb_record(x.shape[1]))
+    rec["label"] = np.asarray(y, dtype=np.uint32)
+    rec["x"] = x
     with open(path, "wb") as f:
-        f.write(EMB_MAGIC)
-        f.write(struct.pack("<III", x.shape[0], x.shape[1], num_classes))
-        for label, vec in zip(y, x):
-            f.write(struct.pack("<I", int(label)))
-            f.write(vec.tobytes())
+        f.write(EMB_MAGIC + struct.pack("<III", x.shape[0], x.shape[1],
+                                        num_classes) + rec.tobytes())
 
 
 def load_embeddings(path):
     """Read an SGDSEMB1 file; returns (x, y, num_classes)."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:8] != EMB_MAGIC:
-        raise FormatError("bad magic", 0)
-    if len(blob) < 20:
-        raise FormatError("truncated header", len(blob))
-    num_samples, dim, num_classes = struct.unpack_from("<III", blob, 8)
-    if dim == 0:
-        raise FormatError("dim must be positive", 12)
-    rec = 4 + 4 * dim
-    expected = 20 + num_samples * rec
-    if len(blob) != expected:
-        raise FormatError(f"expected {expected} bytes, got {len(blob)}",
-                          min(len(blob), expected))
-    x = np.empty((num_samples, dim), dtype=np.float64)
-    y = np.empty(num_samples, dtype=np.int64)
-    off = 20
-    for i in range(num_samples):
-        (label,) = struct.unpack_from("<I", blob, off)
-        if label >= num_classes:
-            raise FormatError(f"label {label} >= num_classes {num_classes}", off)
-        y[i] = label
-        x[i] = np.frombuffer(blob, dtype="<f4", count=dim, offset=off + 4)
-        off += rec
-    return x, y, num_classes
+    r = BlobReader(path, EMB_MAGIC)
+    if len(r.blob) < 20:
+        raise FormatError(f"{r.name}: truncated header", len(r.blob))
+    num_samples, dim, num_classes = r.unpack("<III", "header")
+    if not 0 < dim < 1 << 29:  # a record's byte size must fit a C int
+        raise FormatError(f"{r.name}: dim must be in [1, 2^29), got {dim}", 12)
+    record = _emb_record(dim)
+    expected = 20 + num_samples * record.itemsize
+    if len(r.blob) != expected:
+        raise FormatError(f"{r.name}: expected {expected} bytes, got {len(r.blob)}",
+                          min(len(r.blob), expected))
+    rec = r.array(record, num_samples, "samples")
+    bad = np.flatnonzero(rec["label"] >= num_classes)
+    if bad.size:
+        i = int(bad[0])
+        raise FormatError(f"{r.name}: label {rec['label'][i]} >= num_classes "
+                          f"{num_classes}", 20 + i * record.itemsize)
+    return rec["x"].astype(np.float64), rec["label"].astype(np.int64), num_classes
 
 
 def embeddings_to_stream(x: np.ndarray, y: np.ndarray, num_classes: int,
@@ -194,9 +192,8 @@ def embeddings_to_stream(x: np.ndarray, y: np.ndarray, num_classes: int,
     return make_task_stream(train, test, x.shape[1], num_tasks, seed)
 
 
-def compute_prototypes(x: np.ndarray, y: np.ndarray, extractor) -> dict[int, np.ndarray]:
-    """Class-mean of extractor outputs over each class's samples."""
-    feats = extractor(x)
+def compute_prototypes(feats: np.ndarray, y: np.ndarray) -> dict[int, np.ndarray]:
+    """Class-mean of the features of each class's samples."""
     protos = {}
     for c in np.unique(y):
         sel = feats[y == c]

@@ -75,7 +75,11 @@ _SCHEMA: dict[str, tuple] = {
     "out.chart": (_to_bool, False),
 }
 
-_MINIMUM = {"train.epochs": 1, "train.batch": 1, "align.samples": 0}
+_MINIMUM = {"tasks.count": 1, "model.layers": 1, "model.dim": 1,
+            "adapter.rank": 1, "dataset.groups": 1,
+            "dataset.classes_per_group": 1, "dataset.train_per_class": 1,
+            "dataset.test_per_class": 0, "train.epochs": 1, "train.batch": 1,
+            "align.samples": 0}
 
 
 @dataclass
@@ -238,21 +242,6 @@ def write_results_csv(path, matrix: np.ndarray, a_bar: float, a_final: float) ->
         blanks = "," * t_total
         f.write(f"A_bar{blanks},{_fmt(a_bar)}\n")
         f.write(f"A_T{blanks},{_fmt(a_final)}\n")
-
-
-def read_results_csv(path):
-    """Parse a results.csv back into (matrix, a_bar, a_final)."""
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    t_total = len(lines[0].split(",")) - 2
-    matrix = np.full((t_total, t_total), np.nan)
-    for t in range(t_total):
-        cells = lines[1 + t].split(",")
-        for j in range(t + 1):
-            matrix[t, j] = float(cells[1 + j])
-    a_bar = float(lines[1 + t_total].split(",")[-1])
-    a_final = float(lines[2 + t_total].split(",")[-1])
-    return matrix, a_bar, a_final
 
 
 def write_strategy_csv(path, state: ContinualState) -> None:

@@ -15,8 +15,7 @@ def embed(x: np.ndarray, backbone: FrozenBackbone, adapter: Adapter | None,
     if masked:
         def hook(layer, a):
             return a * top_k_mask(a, k)
-    _, phi = extract(x, backbone, adapter, target_layers, hook)
-    return phi
+    return extract(x, backbone, adapter, target_layers, hook)
 
 
 def _entropy(probs: np.ndarray) -> np.ndarray:
@@ -35,22 +34,22 @@ def adapter_logits(x: np.ndarray, state, adapter: Adapter) -> np.ndarray:
     return feats @ state.classifier.T
 
 
-def select_adapter(x: np.ndarray, state) -> np.ndarray:
-    """Per-sample index of the adapter with the most confident prediction."""
-    if not state.adapters:
-        raise ContractViolation("no trained adapter to select from")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    ents = np.stack([_entropy(_softmax(adapter_logits(x, state, a)))
-                     for a in state.adapters])
-    return ents.argmin(axis=0)  # argmin takes the lowest index on ties
+def select_by_entropy(per_adapter: np.ndarray) -> np.ndarray:
+    """Per-sample index of the adapter with the most confident prediction.
+
+    ``per_adapter`` stacks each adapter's logits, shape (adapters, samples,
+    classes); the lowest softmax entropy wins, ties going to the lower index.
+    """
+    return _entropy(_softmax(per_adapter)).argmin(axis=0)
 
 
 def predict(x: np.ndarray, state) -> np.ndarray:
     """Ensemble of the selected task adapter and the universal (merged) adapter."""
+    if not state.adapters:
+        raise ContractViolation("no trained adapter to select from")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     per_adapter = np.stack([adapter_logits(x, state, a) for a in state.adapters])
-    ents = _entropy(_softmax(per_adapter))
-    t_star = ents.argmin(axis=0)
+    t_star = select_by_entropy(per_adapter)
     uni = merge_universal(list(state.adapters))
     total = per_adapter[t_star, np.arange(x.shape[0])] + adapter_logits(x, state, uni)
     # argmax with ties resolved toward the lower class id
@@ -69,16 +68,6 @@ def evaluate_row(state, test_sets) -> np.ndarray:
         pred = predict(test_x, state)
         accs.append(100.0 * float(np.mean(pred == test_y)))
     return np.array(accs)
-
-
-def evaluate(states, stream) -> np.ndarray:
-    """Lower-triangular accuracy matrix A[t][j] over state snapshots."""
-    t_total = len(states)
-    a = np.full((t_total, t_total), np.nan)
-    for t, state in enumerate(states):
-        sets = [(task.test_x, task.test_y) for task in stream.tasks[: t + 1]]
-        a[t, : t + 1] = evaluate_row(state, sets)
-    return a
 
 
 def summarize(a: np.ndarray) -> tuple[float, float]:

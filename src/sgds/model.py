@@ -109,27 +109,24 @@ def block_forward(x: np.ndarray, block: Block,
 
 def extract(x: np.ndarray, backbone: FrozenBackbone,
             adapter: Adapter | None, target_layers: tuple[int, ...],
-            mask_hook=None):
-    """Run the backbone; returns (pre-adapter activations per target layer, φ(x)).
+            mask_hook=None) -> np.ndarray:
+    """Run the backbone; returns the final-block features φ(x).
 
-    ``mask_hook(layer, x) -> x`` is applied only at target layers, before the
-    activation is recorded or fed to the block.
+    ``mask_hook(layer, x) -> x`` is applied only at target layers, to the
+    activation before it is fed to the block.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ContractViolation("empty input")
     if any(l < 0 or l >= backbone.num_blocks for l in target_layers):
         raise ContractViolation("target layer out of range")
-    pre: dict[int, np.ndarray] = {}
     a = x
     for l, block in enumerate(backbone.blocks):
         weights = adapter.layers.get(l) if adapter is not None else None
-        if l in target_layers:
-            if mask_hook is not None:
-                a = mask_hook(l, a)
-            pre[l] = a
+        if mask_hook is not None and l in target_layers:
+            a = mask_hook(l, a)
         a = block_forward(a, block, weights)
-    return pre, a
+    return a
 
 
 def merge_universal(adapters: list[Adapter]) -> Adapter:
@@ -186,9 +183,10 @@ class BlobReader:
         return struct.unpack_from(fmt, self.blob,
                                   self._take(struct.calcsize(fmt), what))
 
-    def floats(self, count: int, what: str) -> np.ndarray:
-        return np.frombuffer(self.blob, dtype="<f8", count=count,
-                             offset=self._take(8 * count, what)).copy()
+    def array(self, dtype, count: int, what: str) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.blob, dtype=dtype, count=count,
+                             offset=self._take(dtype.itemsize * count, what)).copy()
 
     def end(self) -> None:
         if self.off != len(self.blob):
@@ -203,8 +201,8 @@ def load_adapter(path) -> tuple[Adapter, int, int]:
     layers = {}
     for l in range(64):
         if bitmap & (1 << l):
-            wd = r.floats(d * rank, f"W_down of layer {l}")
-            wu = r.floats(rank * d, f"W_up of layer {l}")
+            wd = r.array("<f8", d * rank, f"W_down of layer {l}")
+            wu = r.array("<f8", rank * d, f"W_up of layer {l}")
             layers[l] = (wd.reshape(d, rank), wu.reshape(rank, d))
     r.end()
     return Adapter(task_id, rank, layers), num_blocks, d

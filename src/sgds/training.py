@@ -99,20 +99,19 @@ def fit_class_gaussians(features_by_class: dict[int, np.ndarray]):
     return stats
 
 
-def align_old_prototypes(state: ContinualState, new_adapter: Adapter,
-                         train_x: np.ndarray, align_samples: int,
+def align_old_prototypes(state: ContinualState, train_x: np.ndarray,
+                         f_new: np.ndarray, align_samples: int,
                          run_seed: int, task_index: int):
     """Shift old class Gaussians by the mean feature displacement Δ.
 
-    Δ is estimated from current-task inputs through the new vs previous
-    adapter; pseudo-features sampled from each stored Gaussian are translated
-    by Δ directly in feature space (never re-encoded).
+    Δ is the mean of ``f_new`` (current-task inputs through the new adapter)
+    minus ``train_x`` through the previous adapter; pseudo-features sampled
+    from each stored Gaussian are translated by Δ directly in feature space
+    (never re-encoded).
     """
     if not state.adapters:
         return {}
     prev = state.adapters[-1]
-    f_new = embed(train_x, state.backbone, new_adapter, state.target_layers,
-                  state.k, state.masked_inference)
     f_old = embed(train_x, state.backbone, prev, state.target_layers,
                   state.k, state.masked_inference)
     delta = (f_new - f_old).mean(axis=0)
@@ -304,9 +303,8 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
 
     # phase 1: semantic strategy formulation on frozen-backbone prototypes
     frozen = compute_prototypes(
-        task.train_x, task.train_y,
-        lambda xs: embed(xs, state.backbone, None, state.target_layers,
-                         state.k, masked=False))
+        embed(task.train_x, state.backbone, None, state.target_layers,
+              state.k, masked=False), task.train_y)
     state.frozen_prototypes.update(frozen)
     old = tuple(state.class_ids)
     pool = {c: state.frozen_prototypes[c] for c in (*old, *task.classes)}
@@ -343,10 +341,15 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
         for start in range(0, n, cfg.batch):
             idx = order[start:start + cfg.batch]
             mask_u = {l: u[start:start + cfg.batch] for l, u in epoch_u.items()}
-            tape, loss = build_batch_tape(
-                state, params, task.train_x[idx], task.train_y[idx], col_of,
-                cfg, phase, profiles, state.adapters, mask_u)
-            sgd_step(opt, params, backward(tape, params))
+            try:
+                tape, loss = build_batch_tape(
+                    state, params, task.train_x[idx], task.train_y[idx],
+                    col_of, cfg, phase, profiles, state.adapters, mask_u)
+                sgd_step(opt, params, backward(tape, params))
+            except NumericError as exc:
+                raise NumericError(
+                    f"task {task_index + 1}, epoch {epoch}, "
+                    f"batch {start // cfg.batch + 1}: {exc}") from exc
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
 
@@ -355,7 +358,7 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
                   state.k, state.masked_inference)
     new_stats = fit_class_gaussians(
         {c: feats[task.train_y == c] for c in task.classes})
-    aligned = align_old_prototypes(state, adapter, task.train_x,
+    aligned = align_old_prototypes(state, task.train_x, feats,
                                    cfg.align_samples, run_seed, task_index)
     for c, mean in aligned.items():
         state.class_stats[c] = (mean, state.class_stats[c][1])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgds.data import (FormatError, SyntheticSpec, compute_prototypes,
                        embeddings_to_stream, generate_class_pool,
@@ -156,6 +158,52 @@ def test_embeddings_label_out_of_range(tmp_path):
     assert exc.value.offset == 20
 
 
+def test_embeddings_errors_name_the_file(tmp_path):
+    path = tmp_path / "named.sgdsemb"
+    write_embeddings(path, np.ones((2, 3), dtype=np.float32), [0, 1], 2)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(FormatError, match=r"named\.sgdsemb: expected 52 bytes, "
+                       r"got 53 \(byte offset 52\)"):
+        load_embeddings(path)
+
+
+def test_embeddings_written_in_one_record_layout(tmp_path):
+    import struct
+    path = tmp_path / "r.sgdsemb"
+    x = np.array([[1.5, -2.0], [0.25, 8.0]], dtype=np.float32)
+    write_embeddings(path, x, [1, 0], 2)
+    expected = b"SGDSEMB1" + struct.pack("<III", 2, 2, 2)
+    for label, row in zip([1, 0], x):
+        expected += struct.pack("<I", label) + row.tobytes()
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 3), dim=st.integers(1, 4), classes=st.integers(1, 3),
+       data=st.data())
+def test_embeddings_cut_or_byte_flip_loads_or_raises_format_error(
+        tmp_path_factory, n, dim, classes, data):
+    rng = np.random.default_rng(100 * n + 10 * dim + classes)
+    path = tmp_path_factory.getbasetemp() / "property.sgdsemb"
+    write_embeddings(path, rng.normal(size=(n, dim)).astype(np.float32),
+                     rng.integers(0, classes, size=n), classes)
+    blob = path.read_bytes()
+    i = data.draw(st.integers(0, len(blob) - 1), label="byte")
+    if data.draw(st.booleans(), label="cut"):
+        blob = blob[:i]
+    else:
+        flip = data.draw(st.integers(1, 255), label="xor")
+        blob = blob[:i] + bytes([blob[i] ^ flip]) + blob[i + 1:]
+    path.write_bytes(blob)
+    try:
+        x, y, num_classes = load_embeddings(path)
+    except FormatError:
+        return
+    assert x.dtype == np.float64 and y.dtype == np.int64
+    assert x.shape[0] == len(y) and np.all((0 <= y) & (y < num_classes))
+
+
 def test_embeddings_to_stream_splits_per_class(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.normal(size=(40, 4)).astype(np.float32)
@@ -170,13 +218,13 @@ def test_embeddings_to_stream_splits_per_class(tmp_path):
 
 def test_prototype_mean_identity_extractor():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    protos = compute_prototypes(x, np.array([0, 0]), lambda v: v)
+    protos = compute_prototypes(x, np.array([0, 0]))
     np.testing.assert_array_equal(protos[0], [0.5, 0.5])
 
 
 def test_prototype_single_sample():
     x = np.array([[2.0, 3.0]])
-    protos = compute_prototypes(x, np.array([1]), lambda v: v)
+    protos = compute_prototypes(x, np.array([1]))
     np.testing.assert_array_equal(protos[1], [2.0, 3.0])
 
 
@@ -184,7 +232,7 @@ def test_prototype_permutation_invariant():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(10, 3))
     y = np.zeros(10, dtype=int)
-    p1 = compute_prototypes(x, y, lambda v: 2 * v)
+    p1 = compute_prototypes(x, y)
     perm = rng.permutation(10)
-    p2 = compute_prototypes(x[perm], y[perm], lambda v: 2 * v)
+    p2 = compute_prototypes(x[perm], y[perm])
     np.testing.assert_allclose(p1[0], p2[0], atol=1e-12)

@@ -7,8 +7,7 @@ import pytest
 
 from sgds.cli import main
 from sgds.experiment import (ConfigError, build_stream, parse_config,
-                             read_results_csv, run_ablation, run_experiment,
-                             run_single)
+                             run_ablation, run_experiment, run_single)
 
 QUICK = {
     "tasks.count": 3,
@@ -76,6 +75,21 @@ def test_stream_build_synthetic(tmp_path):
     stream = build_stream(cfg, 1993)
     assert len(stream.tasks) == 3
     assert stream.input_dim == 16
+
+
+def read_results_csv(path):
+    """Parse a results.csv back into (matrix, a_bar, a_final)."""
+    with open(path) as f:
+        lines = [ln.rstrip("\n") for ln in f]
+    t_total = len(lines[0].split(",")) - 2
+    matrix = np.full((t_total, t_total), np.nan)
+    for t in range(t_total):
+        cells = lines[1 + t].split(",")
+        for j in range(t + 1):
+            matrix[t, j] = float(cells[1 + j])
+    a_bar = float(lines[1 + t_total].split(",")[-1])
+    a_final = float(lines[2 + t_total].split(",")[-1])
+    return matrix, a_bar, a_final
 
 
 def test_run_experiment_outputs(tmp_path):
@@ -193,7 +207,19 @@ BAD_VALUES = [("SGDS_TRAIN_BATCH", "0", "must be at least 1"),
               ("SGDS_ALIGN_SAMPLES", "-4", "must be at least 0"),
               ("SGDS_TRAIN_LR", "nan", "must be finite"),
               ("SGDS_TRAIN_MOMENTUM", "inf", "must be finite"),
-              ("SGDS_SGDS_BETA", "-inf", "must be finite")]
+              ("SGDS_SGDS_BETA", "-inf", "must be finite"),
+              ("SGDS_TASKS_COUNT", "0", "tasks.count must be at least 1"),
+              ("SGDS_MODEL_LAYERS", "0", "model.layers must be at least 1"),
+              ("SGDS_MODEL_DIM", "0", "model.dim must be at least 1"),
+              ("SGDS_ADAPTER_RANK", "0", "adapter.rank must be at least 1"),
+              ("SGDS_ADAPTER_RANK", "-2", "adapter.rank must be at least 1"),
+              ("SGDS_DATASET_GROUPS", "0", "dataset.groups must be at least 1"),
+              ("SGDS_DATASET_CLASSES_PER_GROUP", "0",
+               "dataset.classes_per_group must be at least 1"),
+              ("SGDS_DATASET_TRAIN_PER_CLASS", "0",
+               "dataset.train_per_class must be at least 1"),
+              ("SGDS_DATASET_TEST_PER_CLASS", "-1",
+               "dataset.test_per_class must be at least 0")]
 
 
 @pytest.mark.parametrize("var,value,message", BAD_VALUES,
@@ -208,9 +234,12 @@ def test_cli_rejects_nonpositive_batch_and_epochs(tmp_path, monkeypatch,
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_cli_numeric_error_exit_code(tmp_path):
-    cfg_path = quick_config(tmp_path, **{"train.weight_decay": "1e200"})
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+def test_cli_numeric_error_exit_code(tmp_path, capsys):
+    for key, where in [("train.weight_decay", "task 1, epoch 3, batch 1: non-finite wd_1"),
+                       ("train.lr", "task 1, epoch 3, batch 1: non-finite wu_1")]:
+        cfg_path = quick_config(tmp_path, **{key: "1e200"})
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"numeric failure: {where}\n"
 
 
 def test_cli_gen_synthetic_round_trip(tmp_path):
@@ -260,6 +289,37 @@ def test_cli_eval_rejects_checkpoint_of_another_backbone(saved_run, monkeypatch,
     monkeypatch.setenv("SGDS_MODEL_LAYERS", "3")
     assert main(["eval", str(ckpt), str(cfg_path)]) == 1
     assert "adapter for 2 blocks" in capsys.readouterr().err
+
+
+def test_cli_eval_rejects_checkpoint_without_adapters(saved_run, tmp_path,
+                                                      capsys):
+    cfg_path, ckpt = saved_run
+    cut = tmp_path / "ckpt"
+    shutil.copytree(ckpt, cut)
+    for name in os.listdir(cut):
+        if name.endswith(".sgdsadp"):
+            os.remove(cut / name)
+    assert main(["eval", str(cut), str(cfg_path)]) == 1
+    assert "no adapter_*.sgdsadp file" in capsys.readouterr().err
+
+
+def test_cli_eval_rejects_missing_middle_adapter(saved_run, tmp_path, capsys):
+    cfg_path, ckpt = saved_run
+    cut = tmp_path / "ckpt"
+    shutil.copytree(ckpt, cut)
+    os.remove(cut / "adapter_001.sgdsadp")
+    assert main(["eval", str(cut), str(cfg_path)]) == 1
+    assert ("adapter_002.sgdsadp: adapter of task 2, expected task 1"
+            in capsys.readouterr().err)
+
+
+def test_cli_eval_rejects_checkpoint_of_another_split(saved_run, monkeypatch,
+                                                     capsys):
+    cfg_path, ckpt = saved_run
+    monkeypatch.setenv("SGDS_TASKS_SEED", "7")
+    assert main(["eval", str(ckpt), str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "checkpoint classes" in err and "first 3 tasks" in err
 
 
 def test_cli_rejects_malformed_embedding_file(tmp_path, monkeypatch, capsys):

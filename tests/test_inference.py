@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sgds.inference import (adapter_logits, embed, evaluate, evaluate_row,
-                            predict, select_adapter, summarize)
+from sgds.inference import (adapter_logits, embed, evaluate_row, predict,
+                            select_by_entropy, summarize)
 from sgds.masking import top_k_mask
 from sgds.model import Adapter, FrozenBackbone, merge_universal
 from sgds.numerics import ContractViolation
@@ -36,17 +36,23 @@ def brute_select(x, state):
     return best
 
 
+def stacked_logits(x, state):
+    x = np.atleast_2d(x)
+    return np.stack([adapter_logits(x, state, a) for a in state.adapters])
+
+
 def test_select_single_adapter():
     state, rng = make_state(n_adapters=1)
     x = rng.normal(size=(3, 8))
-    np.testing.assert_array_equal(select_adapter(x, state), [0, 0, 0])
+    np.testing.assert_array_equal(select_by_entropy(stacked_logits(x, state)),
+                                  [0, 0, 0])
 
 
 def test_select_prefers_low_entropy():
     state, rng = make_state(n_adapters=2)
     x = rng.normal(size=(5, 8))
-    chosen = select_adapter(x, state)
-    per = [adapter_logits(x, state, a) for a in state.adapters]
+    per = stacked_logits(x, state)
+    chosen = select_by_entropy(per)
     for i, t in enumerate(chosen):
         for j in range(2):
             def ent(logits):
@@ -60,7 +66,7 @@ def test_select_matches_brute_force():
     for trial in range(30):
         state, rng = make_state(n_adapters=3, seed=trial)
         x = rng.normal(size=8)
-        assert select_adapter(x, state)[0] == brute_select(x, state)
+        assert select_by_entropy(stacked_logits(x, state))[0] == brute_select(x, state)
 
 
 def test_predict_single_adapter_is_plain_argmax():
@@ -79,6 +85,12 @@ def test_predict_matches_term_by_term_oracle():
         total = (adapter_logits(np.atleast_2d(x), state, state.adapters[t_star])[0]
                  + adapter_logits(np.atleast_2d(x), state, uni)[0])
         assert predict(x, state)[0] == total.argmax()
+
+
+def test_predict_without_adapters_is_a_contract_violation():
+    state, rng = make_state(n_adapters=0)
+    with pytest.raises(ContractViolation, match="no trained adapter"):
+        predict(rng.normal(size=(2, 8)), state)
 
 
 def test_predict_tie_breaks_to_lower_class_id():
@@ -104,14 +116,13 @@ def test_masked_embedding_respects_sparsity():
     hook_seen = {}
 
     def probe(layer, a):
-        hook_seen[layer] = a
-        return a
+        hook_seen[layer] = a * top_k_mask(a, 0.5)
+        return hook_seen[layer]
 
     from sgds.model import extract
     masked = embed(x, backbone, None, (1,), k=0.5, masked=True)
-    pre, _ = extract(x, backbone, None, (1,),
-                     lambda l, a: a * top_k_mask(a, 0.5))
-    assert np.count_nonzero(pre[1][0]) <= 5
+    np.testing.assert_array_equal(extract(x, backbone, None, (1,), probe), masked)
+    assert np.count_nonzero(hook_seen[1][0]) <= 5
     unmasked = embed(x, backbone, None, (1,), k=0.5, masked=False)
     assert not np.allclose(masked, unmasked)
 

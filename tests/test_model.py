@@ -50,16 +50,22 @@ def test_block_forward_dim_mismatch():
 def test_extract_single_block_composition():
     backbone = FrozenBackbone.create(1, 6)
     x = np.random.default_rng(1).normal(size=(2, 6))
-    _, phi = extract(x, backbone, None, target_layers=())
+    phi = extract(x, backbone, None, target_layers=())
     np.testing.assert_array_equal(phi, block_forward(x, backbone.blocks[0]))
 
 
 def test_extract_records_pre_adapter_activations():
     backbone = FrozenBackbone.create(3, 6)
     x = np.random.default_rng(2).normal(size=(2, 6))
-    pre, phi = extract(x, backbone, None, target_layers=(1,))
-    expected = block_forward(x, backbone.blocks[0])
-    np.testing.assert_array_equal(pre[1], expected)
+    seen = {}
+
+    def probe(layer, a):
+        seen[layer] = a
+        return a
+
+    extract(x, backbone, None, (1,), probe)
+    assert list(seen) == [1]
+    np.testing.assert_array_equal(seen[1], block_forward(x, backbone.blocks[0]))
 
 
 def test_extract_hook_only_on_target_layers():
@@ -70,8 +76,8 @@ def test_extract_hook_only_on_target_layers():
         assert layer == 2
         return a
 
-    _, masked = extract(x, backbone, None, (2,), hook)
-    _, plain = extract(x, backbone, None, (2,))
+    masked = extract(x, backbone, None, (2,), hook)
+    plain = extract(x, backbone, None, (2,))
     np.testing.assert_array_equal(masked, plain)
 
 

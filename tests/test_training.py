@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sgds.data import SyntheticSpec, generate_synthetic
+from sgds.inference import embed
 from sgds.masking import Phase, SparsifierConfig
 from sgds.model import FrozenBackbone
 from sgds.numerics import ContractViolation
@@ -82,13 +83,20 @@ def trained_state(cfg=None, tasks=2, seed=11):
 def test_align_noop_without_previous_adapter():
     cfg = small_config()
     state = fresh_state(cfg)
-    assert align_old_prototypes(state, None, np.zeros((1, 16)), 0, 0, 0) == {}
+    x = np.zeros((1, 16))
+    assert align_old_prototypes(state, x, x, 0, 0, 0) == {}
+
+
+def last_adapter_features(state, x):
+    """``x`` through the newest adapter, as ``train_task`` embeds it."""
+    return embed(x, state.backbone, state.adapters[-1], state.target_layers,
+                 state.k, state.masked_inference)
 
 
 def test_align_identical_adapters_closed_form():
     state, stream, cfg = trained_state()
-    prev = state.adapters[-1]
-    aligned = align_old_prototypes(state, prev, stream.tasks[1].train_x,
+    x = stream.tasks[1].train_x
+    aligned = align_old_prototypes(state, x, last_adapter_features(state, x),
                                    align_samples=0, run_seed=1, task_index=2)
     for c, vec in aligned.items():
         np.testing.assert_allclose(vec, state.class_stats[c][0], atol=1e-12)
@@ -96,11 +104,12 @@ def test_align_identical_adapters_closed_form():
 
 def test_align_sampling_converges_to_translation():
     state, stream, cfg = trained_state()
-    prev = state.adapters[-1]
-    exact = align_old_prototypes(state, prev, stream.tasks[1].train_x,
-                                 align_samples=0, run_seed=1, task_index=2)
-    sampled = align_old_prototypes(state, prev, stream.tasks[1].train_x,
-                                   align_samples=10_000, run_seed=1, task_index=2)
+    x = stream.tasks[1].train_x
+    f_new = last_adapter_features(state, x)
+    exact = align_old_prototypes(state, x, f_new, align_samples=0,
+                                 run_seed=1, task_index=2)
+    sampled = align_old_prototypes(state, x, f_new, align_samples=10_000,
+                                   run_seed=1, task_index=2)
     for c in exact:
         sigma = np.sqrt(state.class_stats[c][1])
         tol = 4 * sigma / np.sqrt(10_000)
@@ -176,7 +185,7 @@ def _batch_tape_for(cfg):
         state.counters.ensure_class(c)
     from sgds.masking import formulate_strategy, relation_distribution
     from sgds.data import compute_prototypes
-    protos = compute_prototypes(task.train_x, task.train_y, lambda v: v)
+    protos = compute_prototypes(task.train_x, task.train_y)
     profiles = {c: formulate_strategy(c, relation_distribution(c, protos),
                                       (), task.classes)
                 for c in task.classes}
