@@ -171,6 +171,11 @@ def load_embeddings(path):
         i = int(bad[0])
         raise FormatError(f"{r.name}: label {rec['label'][i]} >= num_classes "
                           f"{num_classes}", 20 + i * record.itemsize)
+    bad = np.flatnonzero(~np.isfinite(rec["x"]).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise FormatError(f"{r.name}: non-finite feature in sample {i}",
+                          20 + i * record.itemsize)
     return rec["x"].astype(np.float64), rec["label"].astype(np.int64), num_classes
 
 

@@ -178,6 +178,15 @@ def parse_config(path=None, overrides: dict | None = None) -> Config:
     for key, (conv, _) in _SCHEMA.items():
         if conv is float and not math.isfinite(values[key]):
             raise ConfigError(f"{key} must be finite, got {values[key]}")
+    if not 0.0 < values["sgds.k"] <= 1.0:
+        raise ConfigError(f"sgds.k must be in (0, 1], got {values['sgds.k']}")
+    if values["adapter.rank"] > values["model.dim"] // 2:
+        raise ConfigError(f"adapter.rank must be at most model.dim // 2 = "
+                          f"{values['model.dim'] // 2}, got {values['adapter.rank']}")
+    classes = values["dataset.groups"] * values["dataset.classes_per_group"]
+    if values["dataset.kind"] == "synthetic" and classes % values["tasks.count"]:
+        raise ConfigError(f"tasks.count {values['tasks.count']} does not divide "
+                          f"the {classes} synthetic classes")
     return Config(values)
 
 

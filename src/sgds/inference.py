@@ -8,14 +8,15 @@ from .model import Adapter, FrozenBackbone, extract, merge_universal
 from .numerics import ContractViolation
 
 
-def embed(x: np.ndarray, backbone: FrozenBackbone, adapter: Adapter | None,
-          target_layers: tuple[int, ...], k: float, masked: bool) -> np.ndarray:
-    """Final-block embedding; deterministic Top-K at target layers if masked."""
+def embed(x: np.ndarray, backbone: FrozenBackbone,
+          adapters: list[Adapter | None], target_layers: tuple[int, ...],
+          k: float, masked: bool) -> list[np.ndarray]:
+    """Final-block embedding per adapter; deterministic Top-K at target layers if masked."""
     hook = None
     if masked:
         def hook(layer, a):
             return a * top_k_mask(a, k)
-    return extract(x, backbone, adapter, target_layers, hook)
+    return extract(x, backbone, adapters, target_layers, hook)
 
 
 def _entropy(probs: np.ndarray) -> np.ndarray:
@@ -28,10 +29,19 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def adapter_logits(x: np.ndarray, state, adapter: Adapter) -> np.ndarray:
-    feats = embed(x, state.backbone, adapter, state.target_layers,
-                  state.k, state.masked_inference)
-    return feats @ state.classifier.T
+def _universal_adapter(state) -> Adapter:
+    """The merge of ``state.adapters``, cached on the state.
+
+    The cache holds the adapters it merged and is rebuilt whenever the list
+    no longer holds those same objects; an adapter is never changed in place
+    once it is in the list.
+    """
+    merged, uni = state.universal or ((), None)
+    if list(map(id, merged)) != list(map(id, state.adapters)):
+        merged = tuple(state.adapters)
+        uni = merge_universal(list(merged))
+        state.universal = (merged, uni)
+    return uni
 
 
 def select_by_entropy(per_adapter: np.ndarray) -> np.ndarray:
@@ -48,10 +58,14 @@ def predict(x: np.ndarray, state) -> np.ndarray:
     if not state.adapters:
         raise ContractViolation("no trained adapter to select from")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    per_adapter = np.stack([adapter_logits(x, state, a) for a in state.adapters])
+    *feats, uni_feats = embed(x, state.backbone,
+                              [*state.adapters, _universal_adapter(state)],
+                              state.target_layers, state.k,
+                              state.masked_inference)
+    per_adapter = np.stack([f @ state.classifier.T for f in feats])
     t_star = select_by_entropy(per_adapter)
-    uni = merge_universal(list(state.adapters))
-    total = per_adapter[t_star, np.arange(x.shape[0])] + adapter_logits(x, state, uni)
+    total = (per_adapter[t_star, np.arange(x.shape[0])]
+             + uni_feats @ state.classifier.T)
     # argmax with ties resolved toward the lower class id
     row_class = np.asarray(state.class_ids, dtype=np.int64)
     is_max = total >= total.max(axis=1, keepdims=True)

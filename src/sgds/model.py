@@ -100,33 +100,57 @@ def block_forward(x: np.ndarray, block: Block,
         raise ContractViolation("activation width does not match block width")
     out = x + block.mlp(x)
     if adapter_weights is not None:
-        w_down, w_up = adapter_weights
-        if w_down.shape[0] != x.shape[-1]:
-            raise ContractViolation("adapter width does not match activation")
-        out = out + np.maximum(x @ w_down, 0.0) @ w_up
+        out = out + adapter_term(x, adapter_weights)
     return out
 
 
-def extract(x: np.ndarray, backbone: FrozenBackbone,
-            adapter: Adapter | None, target_layers: tuple[int, ...],
-            mask_hook=None) -> np.ndarray:
-    """Run the backbone; returns the final-block features φ(x).
+def adapter_term(x: np.ndarray,
+                 adapter_weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """ReLU(x W_down) W_up, the residual a bottleneck adapter adds to a block."""
+    w_down, w_up = adapter_weights
+    if w_down.shape[0] != x.shape[-1]:
+        raise ContractViolation("adapter width does not match activation")
+    return np.maximum(x @ w_down, 0.0) @ w_up
 
-    ``mask_hook(layer, x) -> x`` is applied only at target layers, to the
-    activation before it is fed to the block.
+
+def extract(x: np.ndarray, backbone: FrozenBackbone,
+            adapters: list[Adapter | None], target_layers: tuple[int, ...],
+            mask_hook=None) -> list[np.ndarray]:
+    """Run the backbone under each adapter; returns one φ(x) per entry.
+
+    A ``None`` entry is the bare backbone.  ``mask_hook(layer, x) -> x`` is
+    applied only at target layers, to the activation before it is fed to the
+    block.  Up to the first layer that is a target or holds adapter weights
+    every entry sees the same activation, so the blocks before it, the hook
+    there and that block's frozen ``x + MLP(x)`` run once; the adapter terms
+    and the later blocks run per entry.  Each output is the same floats as a
+    pass with that entry alone: every matmul sees the same operands.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ContractViolation("empty input")
     if any(l < 0 or l >= backbone.num_blocks for l in target_layers):
         raise ContractViolation("target layer out of range")
+    weights = [{} if a is None else a.layers for a in adapters]
+    split = min((*target_layers, *(l for w in weights for l in w),
+                 backbone.num_blocks))
     a = x
-    for l, block in enumerate(backbone.blocks):
-        weights = adapter.layers.get(l) if adapter is not None else None
-        if mask_hook is not None and l in target_layers:
-            a = mask_hook(l, a)
-        a = block_forward(a, block, weights)
-    return a
+    for block in backbone.blocks[:split]:
+        a = block_forward(a, block)
+    if split == backbone.num_blocks:
+        return [a] * len(weights)
+    if mask_hook is not None and split in target_layers:
+        a = mask_hook(split, a)
+    base = block_forward(a, backbone.blocks[split])
+    feats = []
+    for w in weights:
+        h = base + adapter_term(a, w[split]) if split in w else base
+        for l in range(split + 1, backbone.num_blocks):
+            if mask_hook is not None and l in target_layers:
+                h = mask_hook(l, h)
+            h = block_forward(h, backbone.blocks[l], w.get(l))
+        feats.append(h)
+    return feats
 
 
 def merge_universal(adapters: list[Adapter]) -> Adapter:

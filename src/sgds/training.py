@@ -62,6 +62,8 @@ class ContinualState:
     frozen_prototypes: dict[int, np.ndarray] = field(default_factory=dict)
     counters: ActivationCounters = None
     task_logs: list[TaskLog] = field(default_factory=list)
+    # (adapters merged, their universal adapter); see inference.predict
+    universal: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def create(cls, backbone: FrozenBackbone, cfg: TrainConfig) -> "ContinualState":
@@ -99,21 +101,18 @@ def fit_class_gaussians(features_by_class: dict[int, np.ndarray]):
     return stats
 
 
-def align_old_prototypes(state: ContinualState, train_x: np.ndarray,
-                         f_new: np.ndarray, align_samples: int,
+def align_old_prototypes(state: ContinualState, f_new: np.ndarray,
+                         f_old: np.ndarray, align_samples: int,
                          run_seed: int, task_index: int):
     """Shift old class Gaussians by the mean feature displacement Δ.
 
     Δ is the mean of ``f_new`` (current-task inputs through the new adapter)
-    minus ``train_x`` through the previous adapter; pseudo-features sampled
-    from each stored Gaussian are translated by Δ directly in feature space
-    (never re-encoded).
+    minus ``f_old`` (the same inputs through the previous adapter);
+    pseudo-features sampled from each stored Gaussian are translated by Δ
+    directly in feature space (never re-encoded).
     """
     if not state.adapters:
         return {}
-    prev = state.adapters[-1]
-    f_old = embed(train_x, state.backbone, prev, state.target_layers,
-                  state.k, state.masked_inference)
     delta = (f_new - f_old).mean(axis=0)
     aligned = {}
     for c, (mean, var) in state.class_stats.items():
@@ -186,8 +185,6 @@ def build_batch_tape(state, params, x, y, col_of, cfg, phase, profiles,
     the arrays ``sgd_step`` updates.  ``mask_u`` maps each target layer to the
     batch's ``(B, width)`` mask uniforms; it is read only when SGDS is enabled.
     """
-    for name, p in params.items():
-        _check_finite(name, p)
     sp = cfg.sparsifier
     phase_active = cfg.se_enabled if phase is Phase.EXPLORATION else cfg.ac_enabled
     classes, row_class = np.unique(y, return_inverse=True)
@@ -303,8 +300,8 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
 
     # phase 1: semantic strategy formulation on frozen-backbone prototypes
     frozen = compute_prototypes(
-        embed(task.train_x, state.backbone, None, state.target_layers,
-              state.k, masked=False), task.train_y)
+        embed(task.train_x, state.backbone, [None], state.target_layers,
+              state.k, masked=False)[0], task.train_y)
     state.frozen_prototypes.update(frozen)
     old = tuple(state.class_ids)
     pool = {c: state.frozen_prototypes[c] for c in (*old, *task.classes)}
@@ -346,6 +343,8 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
                     state, params, task.train_x[idx], task.train_y[idx],
                     col_of, cfg, phase, profiles, state.adapters, mask_u)
                 sgd_step(opt, params, backward(tape, params))
+                for name, p in params.items():
+                    _check_finite(name, p)
             except NumericError as exc:
                 raise NumericError(
                     f"task {task_index + 1}, epoch {epoch}, "
@@ -354,11 +353,12 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
         epoch_losses.append(float(np.mean(losses)))
 
     # phase 3: statistics, alignment, classifier rebuild
-    feats = embed(task.train_x, state.backbone, adapter, state.target_layers,
-                  state.k, state.masked_inference)
+    # the new adapter's features, then the previous adapter's for the drift
+    feats = embed(task.train_x, state.backbone, [adapter, *state.adapters[-1:]],
+                  state.target_layers, state.k, state.masked_inference)
     new_stats = fit_class_gaussians(
-        {c: feats[task.train_y == c] for c in task.classes})
-    aligned = align_old_prototypes(state, task.train_x, feats,
+        {c: feats[0][task.train_y == c] for c in task.classes})
+    aligned = align_old_prototypes(state, feats[0], feats[-1],
                                    cfg.align_samples, run_seed, task_index)
     for c, mean in aligned.items():
         state.class_stats[c] = (mean, state.class_stats[c][1])

@@ -13,13 +13,14 @@ import pytest
 from sgds.data import split_classes
 from sgds.experiment import (ABLATION_CELLS, Config, build_stream,
                              parse_config, run_single, strategy_counts)
-from sgds.inference import (_entropy, _softmax, adapter_logits, predict,
-                            select_by_entropy, summarize)
+from sgds.inference import (_entropy, _softmax, predict, select_by_entropy,
+                            summarize)
 from sgds.masking import (ActivationCounters, allocation_probability,
                           compaction_probability, reuse_probability,
                           sparsify_and_record)
 from sgds.model import Adapter, merge_universal
 
+from test_inference import adapter_logits
 from test_numerics import engine_graph, max_rel_error_vs_fd
 from test_training import trained_state
 

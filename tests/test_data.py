@@ -202,6 +202,7 @@ def test_embeddings_cut_or_byte_flip_loads_or_raises_format_error(
         return
     assert x.dtype == np.float64 and y.dtype == np.int64
     assert x.shape[0] == len(y) and np.all((0 <= y) & (y < num_classes))
+    assert np.all(np.isfinite(x))
 
 
 def test_embeddings_to_stream_splits_per_class(tmp_path):

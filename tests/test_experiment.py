@@ -219,7 +219,13 @@ BAD_VALUES = [("SGDS_TRAIN_BATCH", "0", "must be at least 1"),
               ("SGDS_DATASET_TRAIN_PER_CLASS", "0",
                "dataset.train_per_class must be at least 1"),
               ("SGDS_DATASET_TEST_PER_CLASS", "-1",
-               "dataset.test_per_class must be at least 0")]
+               "dataset.test_per_class must be at least 0"),
+              ("SGDS_SGDS_K", "0", "sgds.k must be in (0, 1], got 0.0"),
+              ("SGDS_SGDS_K", "1.5", "sgds.k must be in (0, 1], got 1.5"),
+              ("SGDS_ADAPTER_RANK", "9",
+               "adapter.rank must be at most model.dim // 2 = 8, got 9"),
+              ("SGDS_TASKS_COUNT", "4",
+               "tasks.count 4 does not divide the 6 synthetic classes")]
 
 
 @pytest.mark.parametrize("var,value,message", BAD_VALUES,
@@ -235,8 +241,9 @@ def test_cli_rejects_nonpositive_batch_and_epochs(tmp_path, monkeypatch,
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_cli_numeric_error_exit_code(tmp_path, capsys):
-    for key, where in [("train.weight_decay", "task 1, epoch 3, batch 1: non-finite wd_1"),
-                       ("train.lr", "task 1, epoch 3, batch 1: non-finite wu_1")]:
+    # one batch per epoch: the step of epoch 2 overflows, and that batch is named
+    for key, where in [("train.weight_decay", "task 1, epoch 2, batch 1: non-finite wd_1"),
+                       ("train.lr", "task 1, epoch 2, batch 1: non-finite wu_1")]:
         cfg_path = quick_config(tmp_path, **{key: "1e200"})
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"numeric failure: {where}\n"
@@ -330,6 +337,23 @@ def test_cli_rejects_malformed_embedding_file(tmp_path, monkeypatch, capsys):
     assert main(["run", str(quick_config(tmp_path)),
                  "--out", str(tmp_path / "o")]) == 1
     assert "bad magic (byte offset 0)" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_embedding(tmp_path, monkeypatch, capsys):
+    from sgds.data import write_embeddings
+    x = np.random.default_rng(0).normal(size=(60, 16)).astype(np.float32)
+    x[37, 5] = np.nan
+    path = tmp_path / "nan.sgdsemb"
+    write_embeddings(path, x, np.repeat(np.arange(6), 10), 6)
+    monkeypatch.setenv("SGDS_DATASET_KIND", "embeddings")
+    monkeypatch.setenv("SGDS_DATASET_PATH", str(path))
+    monkeypatch.setenv("SGDS_DATASET_TEST_PER_CLASS", "2")
+    assert main(["run", str(quick_config(tmp_path)),
+                 "--out", str(tmp_path / "o")]) == 1
+    record = 4 + 16 * 4
+    assert capsys.readouterr().err == (
+        "error: nan.sgdsemb: non-finite feature in sample 37 "
+        f"(byte offset {20 + 37 * record})\n")
 
 
 def test_checkpoint_state_round_trip(tmp_path):

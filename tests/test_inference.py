@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from sgds.inference import (adapter_logits, embed, evaluate_row, predict,
-                            select_by_entropy, summarize)
+from sgds import inference
+from sgds.checkpoint import load_state, save_state
+from sgds.inference import (embed, evaluate_row, predict, select_by_entropy,
+                            summarize)
 from sgds.masking import top_k_mask
-from sgds.model import Adapter, FrozenBackbone, merge_universal
+from sgds.model import (Adapter, Block, FrozenBackbone, block_forward,
+                        merge_universal)
 from sgds.numerics import ContractViolation
-from sgds.training import ContinualState
+from sgds.training import ContinualState, train_task
+
+from test_training import fresh_state, small_config, small_stream
 
 
 def make_state(n_adapters=3, n_classes=4, d=8, seed=0, masked=False):
@@ -22,6 +27,13 @@ def make_state(n_adapters=3, n_classes=4, d=8, seed=0, masked=False):
         a.layers[1] = (a.layers[1][0], rng.normal(size=(2, d)) * 0.3)
         state.adapters.append(a)
     return state, rng
+
+
+def adapter_logits(x, state, adapter):
+    """One adapter's logits, from a pass of its own."""
+    (feats,) = embed(x, state.backbone, [adapter], state.target_layers,
+                     state.k, state.masked_inference)
+    return feats @ state.classifier.T
 
 
 def brute_select(x, state):
@@ -120,10 +132,11 @@ def test_masked_embedding_respects_sparsity():
         return hook_seen[layer]
 
     from sgds.model import extract
-    masked = embed(x, backbone, None, (1,), k=0.5, masked=True)
-    np.testing.assert_array_equal(extract(x, backbone, None, (1,), probe), masked)
+    (masked,) = embed(x, backbone, [None], (1,), k=0.5, masked=True)
+    np.testing.assert_array_equal(extract(x, backbone, [None], (1,), probe)[0],
+                                  masked)
     assert np.count_nonzero(hook_seen[1][0]) <= 5
-    unmasked = embed(x, backbone, None, (1,), k=0.5, masked=False)
+    (unmasked,) = embed(x, backbone, [None], (1,), k=0.5, masked=False)
     assert not np.allclose(masked, unmasked)
 
 
@@ -135,7 +148,7 @@ def test_evaluate_matrix_shape_and_perfect_classifier():
     state, rng = make_state(n_adapters=1, n_classes=2)
     # make class 0 and 1 perfectly separable through the classifier
     xs = np.vstack([np.ones((5, 8)), -np.ones((5, 8))])
-    feats = embed(xs, state.backbone, state.adapters[0], (1,), 0.6, False)
+    (feats,) = embed(xs, state.backbone, state.adapters[:1], (1,), 0.6, False)
     state.classifier = np.stack([feats[:5].mean(axis=0), feats[5:].mean(axis=0)])
     state.class_ids = [0, 1]
     ys = np.array([0] * 5 + [1] * 5)
@@ -173,3 +186,92 @@ def test_summarize_incomplete_matrix():
     a[0, 0] = 50.0
     with pytest.raises(ContractViolation):
         summarize(a)
+
+
+def one_pass(x, backbone, adapter, targets, k, masked):
+    """One adapter's features by the plain block-by-block loop."""
+    a = x
+    for l, block in enumerate(backbone.blocks):
+        if masked and l in targets:
+            a = a * top_k_mask(a, k)
+        a = block_forward(a, block, None if adapter is None else adapter.layers.get(l))
+    return a
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5])
+def test_fan_out_equals_separate_passes(blocks):
+    rng = np.random.default_rng(blocks)
+    d, r, k = 8, 2, 0.6
+    backbone = FrozenBackbone.create(blocks, d)
+    target_sets = {(), (0,), (blocks - 1,), tuple(range(0, blocks, 2))}
+    if blocks >= 4:
+        target_sets.add((1, 3))
+    for targets in sorted(target_sets):
+        for masked in (False, True):
+            for n in (1, 37):
+                entries = [None, None] + [
+                    Adapter(t, r, {l: (rng.normal(size=(d, r)),
+                                       rng.normal(size=(r, d))) for l in targets})
+                    for t in range(3)]
+                entries = [entries[i] for i in rng.permutation(len(entries))]
+                x = rng.normal(size=(n, d))
+                fanned = embed(x, backbone, entries, targets, k, masked)
+                assert len(fanned) == len(entries)
+                for entry, f in zip(entries, fanned):
+                    (alone,) = embed(x, backbone, [entry], targets, k, masked)
+                    assert np.array_equal(f, alone)
+                    assert np.array_equal(
+                        f, one_pass(x, backbone, entry, targets, k, masked))
+
+
+def test_predict_runs_the_frozen_blocks_once(monkeypatch):
+    blocks, adapters, d = 4, 5, 8
+    state = ContinualState(
+        backbone=FrozenBackbone.create(blocks, d), target_layers=(blocks - 1,),
+        k=0.6, masked_inference=True,
+        classifier=np.random.default_rng(0).normal(size=(3, d)),
+        class_ids=[0, 1, 2])
+    for t in range(adapters):
+        state.adapters.append(Adapter.create(t, d, 2, (blocks - 1,), seed=t))
+    calls = {"mlp": 0, "merge": 0}
+    mlp, merge = Block.mlp, inference.merge_universal
+
+    def counting_mlp(self, a):
+        calls["mlp"] += 1
+        return mlp(self, a)
+
+    def counting_merge(ads):
+        calls["merge"] += 1
+        return merge(ads)
+
+    monkeypatch.setattr(Block, "mlp", counting_mlp)
+    monkeypatch.setattr(inference, "merge_universal", counting_merge)
+    x = np.random.default_rng(1).normal(size=(6, d))
+    predict(x, state)
+    predict(x, state)
+    assert calls == {"mlp": 2 * blocks, "merge": 1}
+    state.adapters.append(Adapter.create(adapters, d, 2, (blocks - 1,), seed=9))
+    predict(x, state)
+    assert calls == {"mlp": 3 * blocks, "merge": 2}
+
+
+def test_universal_cache_follows_the_adapter_list(tmp_path):
+    cfg = small_config()
+    stream = small_stream(tasks=3)
+    x = np.random.default_rng(2).normal(size=(400, 16))
+    state = fresh_state(cfg)
+    for task in stream.tasks[:2]:
+        train_task(state, task, cfg, run_seed=11)
+    predict(x, state)  # merges the two adapters
+    save_state(tmp_path / "two", state)
+    train_task(state, stream.tasks[2], cfg, run_seed=11)
+    after_training = predict(x, state)
+    save_state(tmp_path / "three", state)
+    fresh = load_state(tmp_path / "three", state.backbone)
+    np.testing.assert_array_equal(after_training, predict(x, fresh))
+
+    appended = load_state(tmp_path / "two", state.backbone)
+    predict(x, appended)
+    appended.adapters.append(fresh.adapters[-1])
+    appended.classifier, appended.class_ids = fresh.classifier, fresh.class_ids
+    np.testing.assert_array_equal(predict(x, appended), after_training)

@@ -50,7 +50,7 @@ def test_block_forward_dim_mismatch():
 def test_extract_single_block_composition():
     backbone = FrozenBackbone.create(1, 6)
     x = np.random.default_rng(1).normal(size=(2, 6))
-    phi = extract(x, backbone, None, target_layers=())
+    (phi,) = extract(x, backbone, [None], target_layers=())
     np.testing.assert_array_equal(phi, block_forward(x, backbone.blocks[0]))
 
 
@@ -63,7 +63,7 @@ def test_extract_records_pre_adapter_activations():
         seen[layer] = a
         return a
 
-    extract(x, backbone, None, (1,), probe)
+    extract(x, backbone, [None], (1,), probe)
     assert list(seen) == [1]
     np.testing.assert_array_equal(seen[1], block_forward(x, backbone.blocks[0]))
 
@@ -76,15 +76,15 @@ def test_extract_hook_only_on_target_layers():
         assert layer == 2
         return a
 
-    masked = extract(x, backbone, None, (2,), hook)
-    plain = extract(x, backbone, None, (2,))
+    (masked,) = extract(x, backbone, [None], (2,), hook)
+    (plain,) = extract(x, backbone, [None], (2,))
     np.testing.assert_array_equal(masked, plain)
 
 
 def test_extract_empty_input():
     backbone = FrozenBackbone.create(1, 4)
     with pytest.raises(ContractViolation):
-        extract(np.zeros((0, 4)), backbone, None, ())
+        extract(np.zeros((0, 4)), backbone, [None], ())
 
 
 def test_backbone_frozen_and_deterministic():

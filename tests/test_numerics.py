@@ -12,8 +12,9 @@ from sgds.masking import Phase, SparsifierConfig
 from sgds.model import Adapter, FrozenBackbone
 from sgds.numerics import (ContractViolation, NumericError, OptimizerState,
                            cosine_lr, sgd_step)
+from sgds import training
 from sgds.training import (ContinualState, TrainConfig, backward,
-                           build_batch_tape)
+                           build_batch_tape, train_task)
 
 
 def engine_graph(seed, d, r, layers=1, targets=(0,), masked=False, n_old=0,
@@ -119,11 +120,22 @@ def test_backward_uniform_softmax_gradient():
         grads["head_new"], np.outer(tape.features[0], [-0.5, 0.5]))
 
 
-def test_nonfinite_parameter_raises_naming_it():
-    params, loss_fn = engine_graph(5, d=6, r=2, layers=2, targets=(0, 1))
-    params["wu_1"][0, 3] = np.nan
-    with pytest.raises(NumericError, match="non-finite wu_1"):
-        loss_fn(params)
+def test_nonfinite_parameter_raises_naming_it(monkeypatch):
+    """A step that leaves a parameter non-finite fails at its own batch."""
+    from test_training import fresh_state, small_config, small_stream
+    steps = []
+
+    def poisoned_step(opt, params, grads):
+        sgd_step(opt, params, grads)
+        steps.append(None)
+        if len(steps) == 5:  # 48 samples in batches of 16: epoch 2, batch 2
+            params["wu_1"][0, 3] = np.nan
+
+    monkeypatch.setattr(training, "sgd_step", poisoned_step)
+    cfg = small_config()
+    with pytest.raises(NumericError) as err:
+        train_task(fresh_state(cfg), small_stream().tasks[0], cfg, run_seed=0)
+    assert str(err.value) == "task 1, epoch 2, batch 2: non-finite wu_1"
 
 
 def test_frozen_leaves_get_no_gradient():

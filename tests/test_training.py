@@ -89,26 +89,26 @@ def test_align_noop_without_previous_adapter():
 
 def last_adapter_features(state, x):
     """``x`` through the newest adapter, as ``train_task`` embeds it."""
-    return embed(x, state.backbone, state.adapters[-1], state.target_layers,
-                 state.k, state.masked_inference)
+    (feats,) = embed(x, state.backbone, state.adapters[-1:],
+                     state.target_layers, state.k, state.masked_inference)
+    return feats
 
 
 def test_align_identical_adapters_closed_form():
     state, stream, cfg = trained_state()
-    x = stream.tasks[1].train_x
-    aligned = align_old_prototypes(state, x, last_adapter_features(state, x),
-                                   align_samples=0, run_seed=1, task_index=2)
+    f = last_adapter_features(state, stream.tasks[1].train_x)
+    aligned = align_old_prototypes(state, f, f, align_samples=0, run_seed=1,
+                                   task_index=2)
     for c, vec in aligned.items():
         np.testing.assert_allclose(vec, state.class_stats[c][0], atol=1e-12)
 
 
 def test_align_sampling_converges_to_translation():
     state, stream, cfg = trained_state()
-    x = stream.tasks[1].train_x
-    f_new = last_adapter_features(state, x)
-    exact = align_old_prototypes(state, x, f_new, align_samples=0,
+    f = last_adapter_features(state, stream.tasks[1].train_x)
+    exact = align_old_prototypes(state, f, f, align_samples=0,
                                  run_seed=1, task_index=2)
-    sampled = align_old_prototypes(state, x, f_new, align_samples=10_000,
+    sampled = align_old_prototypes(state, f, f, align_samples=10_000,
                                    run_seed=1, task_index=2)
     for c in exact:
         sigma = np.sqrt(state.class_stats[c][1])
