@@ -7,7 +7,8 @@ import struct
 import numpy as np
 
 from .masking import ActivationCounters
-from .model import BlobReader, FrozenBackbone, load_adapter, save_adapter
+from .model import (BlobReader, FrozenBackbone, layer_bitmap, load_adapter,
+                    save_adapter)
 from .numerics import ContractViolation
 from .training import ContinualState
 
@@ -21,9 +22,7 @@ def save_state(dirpath, state: ContinualState) -> None:
         save_adapter(os.path.join(dirpath, f"adapter_{i:03d}.sgdsadp"),
                      adapter, state.backbone.num_blocks, state.backbone.width)
     d = state.backbone.width
-    bitmap = 0
-    for l in state.target_layers:
-        bitmap |= 1 << l
+    bitmap = layer_bitmap(state.target_layers)
     with open(os.path.join(dirpath, "stats.bin"), "wb") as f:
         f.write(STATS_MAGIC)
         f.write(struct.pack("<IIIQdB", STATS_VERSION, len(state.class_ids), d,

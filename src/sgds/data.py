@@ -130,10 +130,9 @@ def make_task_stream(train: dict, test: dict, dim: int,
 
 
 def generate_synthetic(spec: SyntheticSpec, num_tasks: int,
-                       split_seed: int | None = None) -> TaskStream:
+                       split_seed: int) -> TaskStream:
     train, test = generate_class_pool(spec)
-    seed = spec.seed if split_seed is None else split_seed
-    return make_task_stream(train, test, spec.dim, num_tasks, seed)
+    return make_task_stream(train, test, spec.dim, num_tasks, split_seed)
 
 
 def _emb_record(dim: int) -> np.dtype:

@@ -5,7 +5,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,7 +14,8 @@ from .data import (SyntheticSpec, embeddings_to_stream, generate_synthetic,
                    load_embeddings)
 from .inference import evaluate_row, summarize
 from .masking import SparsifierConfig, Strategy
-from .model import FrozenBackbone
+from .model import FrozenBackbone, layer_bitmap
+from .numerics import ContractViolation
 from .training import ContinualState, TrainConfig, train_task
 
 ENV_PREFIX = "SGDS_"
@@ -183,27 +184,37 @@ def parse_config(path=None, overrides: dict | None = None) -> Config:
     if values["adapter.rank"] > values["model.dim"] // 2:
         raise ConfigError(f"adapter.rank must be at most model.dim // 2 = "
                           f"{values['model.dim'] // 2}, got {values['adapter.rank']}")
+    kept = math.floor(values["sgds.k"] * values["model.dim"])
+    if kept < 1:
+        raise ConfigError(f"floor(sgds.k * model.dim) must be at least 1, got {kept}")
+    kind = values["dataset.kind"]
+    if kind not in ("synthetic", "embeddings"):
+        raise ConfigError(f"unknown dataset.kind {kind!r}")
+    if kind == "embeddings" and not values["dataset.path"]:
+        raise ConfigError("dataset.path required for embeddings mode")
     classes = values["dataset.groups"] * values["dataset.classes_per_group"]
-    if values["dataset.kind"] == "synthetic" and classes % values["tasks.count"]:
+    if kind == "synthetic" and classes % values["tasks.count"]:
         raise ConfigError(f"tasks.count {values['tasks.count']} does not divide "
                           f"the {classes} synthetic classes")
-    return Config(values)
+    cfg = Config(values)
+    try:  # the checks the run itself would make, before any output exists
+        layer_bitmap(cfg.train_config().sparsifier.target_layers)
+        if kind == "synthetic":
+            cfg.synthetic_spec()
+    except ContractViolation as exc:
+        raise ConfigError(str(exc)) from None
+    return cfg
 
 
 def build_stream(cfg: Config, split_seed: int):
-    kind = cfg["dataset.kind"]
-    if kind == "synthetic":
+    if cfg["dataset.kind"] == "synthetic":
         return generate_synthetic(cfg.synthetic_spec(), cfg["tasks.count"],
                                   split_seed)
-    if kind == "embeddings":
-        if not cfg["dataset.path"]:
-            raise ConfigError("dataset.path required for embeddings mode")
-        x, y, num_classes = load_embeddings(cfg["dataset.path"])
-        if x.shape[1] != cfg["model.dim"]:
-            raise ConfigError("embedding dim does not match model.dim")
-        return embeddings_to_stream(x, y, num_classes, cfg["tasks.count"],
-                                    split_seed, cfg["dataset.test_per_class"])
-    raise ConfigError(f"unknown dataset.kind {kind!r}")
+    x, y, num_classes = load_embeddings(cfg["dataset.path"])
+    if x.shape[1] != cfg["model.dim"]:
+        raise ConfigError("embedding dim does not match model.dim")
+    return embeddings_to_stream(x, y, num_classes, cfg["tasks.count"],
+                                split_seed, cfg["dataset.test_per_class"])
 
 
 @dataclass
@@ -354,41 +365,34 @@ def run_ablation(cfg: Config, out_dir=None, param_reg: bool = False,
     os.makedirs(out_dir, exist_ok=True)
     streams = {seed: build_stream(cfg, seed) for seed in cfg.seeds}
 
-    def run_cell(name, cell_cfg):
+    cells = [(name, {"sgds.enabled": on, "sgds.se": se, "sgds.ac": ac,
+                     "baseline.param_reg.mode": "off"})
+             for name, on, se, ac in ABLATION_CELLS]
+    grid = dict(cells)
+    if param_reg:
+        cells += [(f"param_reg_{mode}",
+                   {**grid["baseline"], "baseline.param_reg.mode": mode})
+                  for mode in ("up", "down", "both")]
+    if layer_sweep:
+        cells += [(f"layer_{l}", {**grid["full"], "sgds.target_layers": str(l)})
+                  for l in range(cfg["model.layers"])]
+    rows = []
+    for name, overrides in cells:
+        cell = Config({**cfg.values, **overrides})
         bars, finals = [], []
         for seed in cfg.seeds:
-            res = run_single(cell_cfg, seed, stream=streams[seed])
+            res = run_single(cell, seed, stream=streams[seed])
             bars.append(res.a_bar)
             finals.append(res.a_final)
         bars, finals = np.array(bars), np.array(finals)
-        return {"cell": name,
-                "sgds": cell_cfg["sgds.enabled"],
-                "se": cell_cfg["sgds.se"], "ac": cell_cfg["sgds.ac"],
-                "param_reg": cell_cfg["baseline.param_reg.mode"],
-                "layers": ",".join(map(str, cell_cfg.target_layers)),
-                "a_bar_mean": float(bars.mean()), "a_bar_std": float(bars.std()),
-                "a_T_mean": float(finals.mean()), "a_T_std": float(finals.std())}
-
-    rows = []
-    for name, enabled, se, ac in ABLATION_CELLS:
-        cell = Config(dict(cfg.values))
-        cell.values.update({"sgds.enabled": enabled, "sgds.se": se,
-                            "sgds.ac": ac, "baseline.param_reg.mode": "off"})
-        rows.append(run_cell(name, cell))
-    if param_reg:
-        for mode in ("up", "down", "both"):
-            cell = Config(dict(cfg.values))
-            cell.values.update({"sgds.enabled": False, "sgds.se": False,
-                                "sgds.ac": False,
-                                "baseline.param_reg.mode": mode})
-            rows.append(run_cell(f"param_reg_{mode}", cell))
-    if layer_sweep:
-        for l in range(cfg["model.layers"]):
-            cell = Config(dict(cfg.values))
-            cell.values.update({"sgds.enabled": True, "sgds.se": True,
-                                "sgds.ac": True, "sgds.target_layers": str(l),
-                                "baseline.param_reg.mode": "off"})
-            rows.append(run_cell(f"layer_{l}", cell))
+        rows.append({"cell": name, "sgds": cell["sgds.enabled"],
+                     "se": cell["sgds.se"], "ac": cell["sgds.ac"],
+                     "param_reg": cell["baseline.param_reg.mode"],
+                     "layers": ",".join(map(str, cell.target_layers)),
+                     "a_bar_mean": float(bars.mean()),
+                     "a_bar_std": float(bars.std()),
+                     "a_T_mean": float(finals.mean()),
+                     "a_T_std": float(finals.std())})
     with open(os.path.join(out_dir, "ablation.csv"), "w") as f:
         f.write("cell,sgds,se,ac,param_reg,layers,"
                 "A_bar_mean,A_bar_std,A_T_mean,A_T_std\n")

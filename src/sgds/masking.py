@@ -42,7 +42,6 @@ class SparsifierConfig:
     beta: float = 0.5
     gamma: float = 1.0
     target_layers: tuple[int, ...] = (3,)
-    phase: Phase = Phase.EXPLORATION
 
     def __post_init__(self):
         if not 0.0 < self.k <= 1.0:
@@ -67,9 +66,6 @@ class ActivationCounters:
             self.class_ids.append(c)
             self.f_c = np.concatenate(
                 [self.f_c, np.zeros((1,) + self.f_c.shape[1:], dtype=np.int64)])
-
-    def has_class(self, c: int) -> bool:
-        return c in self._cidx
 
     def layer_row(self, layer: int) -> int:
         if layer not in self._lidx:
@@ -180,12 +176,10 @@ def compaction_probability(counters: ActivationCounters, c: int, layer: int,
 
 
 def dispatch_probability(profile: SemanticProfile, counters: ActivationCounters,
-                         layer: int, config: SparsifierConfig) -> np.ndarray:
+                         layer: int, phase: Phase,
+                         config: SparsifierConfig) -> np.ndarray:
     """Route to the phase/strategy-appropriate probability formula."""
-    if config.phase is Phase.COMPACTION:
-        if not counters.has_class(profile.class_id):
-            raise ContractViolation(
-                f"class {profile.class_id} unknown to counters in compaction")
+    if phase is Phase.COMPACTION:
         return compaction_probability(counters, profile.class_id, layer,
                                       config.gamma)
     if profile.strategy is Strategy.KNOWLEDGE_REUSE:
@@ -211,14 +205,13 @@ def sparsify_and_record(x: np.ndarray, p: np.ndarray, k: float,
                         u: np.ndarray,
                         counters: ActivationCounters | None = None,
                         c: int | np.ndarray | None = None,
-                        layer: int | None = None,
-                        record: bool = False) -> np.ndarray:
+                        layer: int | None = None) -> np.ndarray:
     """Bernoulli mask ``u < p``, then magnitude Top-K per row; optionally count.
 
     ``x``, ``p`` and the pre-drawn uniforms ``u`` share one shape, ``(N,)``
     or ``(B, N)``; ``c`` is the class of each row.  The final support is the
     set of coordinates that survive both stages and are nonzero; only those
-    are counted.
+    are counted, into ``counters`` when given.
     """
     x = np.asarray(x, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
@@ -226,8 +219,8 @@ def sparsify_and_record(x: np.ndarray, p: np.ndarray, k: float,
         raise ContractViolation("activation, probability and uniform shapes differ")
     a = x * (u < p)
     out = a * top_k_mask(a, k)
-    if record:
-        if counters is None or c is None or layer is None:
-            raise ContractViolation("recording requires counters, class, layer")
+    if counters is not None:
+        if c is None or layer is None:
+            raise ContractViolation("recording requires a class and a layer")
         counters.record(c, layer, out != 0.0)
     return out

@@ -21,8 +21,10 @@ class Block:
     w2: np.ndarray  # (d, d)
     b2: np.ndarray  # (d,)
 
-    def mlp(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x @ self.w1 + self.b1, 0.0) @ self.w2 + self.b2
+    def mlp(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(pre-activation x w1 + b1, MLP output ReLU(pre) w2 + b2)."""
+        pre = x @ self.w1 + self.b1
+        return pre, np.maximum(pre, 0.0) @ self.w2 + self.b2
 
 
 @dataclass(frozen=True)
@@ -32,11 +34,10 @@ class FrozenBackbone:
     blocks: tuple[Block, ...]
 
     @classmethod
-    def create(cls, num_blocks: int, width: int,
-               seed: int = BACKBONE_SEED) -> "FrozenBackbone":
+    def create(cls, num_blocks: int, width: int) -> "FrozenBackbone":
         blocks = []
         for l in range(num_blocks):
-            rng = stream_rng(seed, TAG_BACKBONE, l)
+            rng = stream_rng(BACKBONE_SEED, TAG_BACKBONE, l)
             s1 = 1.0 / np.sqrt(width)
             s2 = 0.5 / np.sqrt(width)
             blocks.append(Block(
@@ -73,23 +74,6 @@ class Adapter:
     def target_layers(self) -> tuple[int, ...]:
         return tuple(sorted(self.layers))
 
-    def flatten(self) -> np.ndarray:
-        parts = []
-        for l in self.target_layers:
-            wd, wu = self.layers[l]
-            parts.extend([wd.ravel(), wu.ravel()])
-        return np.concatenate(parts)
-
-    def with_flat(self, flat: np.ndarray) -> "Adapter":
-        layers = {}
-        off = 0
-        for l in self.target_layers:
-            wd, wu = self.layers[l]
-            layers[l] = (flat[off:off + wd.size].reshape(wd.shape).copy(),
-                         flat[off + wd.size:off + wd.size + wu.size].reshape(wu.shape).copy())
-            off += wd.size + wu.size
-        return Adapter(self.task_id, self.rank, layers)
-
 
 def block_forward(x: np.ndarray, block: Block,
                   adapter_weights: tuple[np.ndarray, np.ndarray] | None = None
@@ -98,19 +82,20 @@ def block_forward(x: np.ndarray, block: Block,
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != block.w1.shape[0]:
         raise ContractViolation("activation width does not match block width")
-    out = x + block.mlp(x)
+    out = x + block.mlp(x)[1]
     if adapter_weights is not None:
-        out = out + adapter_term(x, adapter_weights)
+        out = out + adapter_term(x, adapter_weights)[1]
     return out
 
 
-def adapter_term(x: np.ndarray,
-                 adapter_weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """ReLU(x W_down) W_up, the residual a bottleneck adapter adds to a block."""
+def adapter_term(x: np.ndarray, adapter_weights: tuple[np.ndarray, np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(z = x W_down, ReLU(z) W_up): the residual an adapter adds to a block."""
     w_down, w_up = adapter_weights
     if w_down.shape[0] != x.shape[-1]:
         raise ContractViolation("adapter width does not match activation")
-    return np.maximum(x @ w_down, 0.0) @ w_up
+    z = x @ w_down
+    return z, np.maximum(z, 0.0) @ w_up
 
 
 def extract(x: np.ndarray, backbone: FrozenBackbone,
@@ -144,7 +129,7 @@ def extract(x: np.ndarray, backbone: FrozenBackbone,
     base = block_forward(a, backbone.blocks[split])
     feats = []
     for w in weights:
-        h = base + adapter_term(a, w[split]) if split in w else base
+        h = base + adapter_term(a, w[split])[1] if split in w else base
         for l in range(split + 1, backbone.num_blocks):
             if mask_hook is not None and l in target_layers:
                 h = mask_hook(l, h)
@@ -158,23 +143,28 @@ def merge_universal(adapters: list[Adapter]) -> Adapter:
     if not adapters:
         raise ContractViolation("need at least one adapter to merge")
     ref = adapters[0]
-    flats = []
-    for a in adapters:
-        if a.target_layers != ref.target_layers or a.rank != ref.rank:
-            raise ContractViolation("adapters must share shape to merge")
-        flats.append(a.flatten())
-    stack = np.stack(flats)
-    merged = np.sign(stack.sum(axis=0)) * np.abs(stack).max(axis=0)
-    out = ref.with_flat(merged)
-    out.task_id = -1
-    return out
+    if any(a.target_layers != ref.target_layers or a.rank != ref.rank
+           for a in adapters):
+        raise ContractViolation("adapters must share shape to merge")
+    layers = {}
+    for l in ref.target_layers:
+        stacks = [np.stack(ws) for ws in zip(*(a.layers[l] for a in adapters))]
+        layers[l] = tuple(np.sign(s.sum(axis=0)) * np.abs(s).max(axis=0)
+                          for s in stacks)
+    return Adapter(-1, ref.rank, layers)
+
+
+def layer_bitmap(layers) -> int:
+    """The u64 target-layer bitmap of the SGDSADP1 and SGDSSTA1 headers."""
+    if any(not 0 <= l < 64 for l in layers):
+        raise ContractViolation(f"target layers {tuple(layers)} do not fit "
+                                "a 64-bit layer bitmap (0..63)")
+    return sum(1 << l for l in set(layers))
 
 
 def save_adapter(path, adapter: Adapter, num_blocks: int, d: int) -> None:
     """SGDSADP1 checkpoint: header then row-major float64 matrices per layer."""
-    bitmap = 0
-    for l in adapter.target_layers:
-        bitmap |= 1 << l
+    bitmap = layer_bitmap(adapter.target_layers)
     with open(path, "wb") as f:
         f.write(ADP_MAGIC)
         f.write(struct.pack("<iIIIQ", adapter.task_id, num_blocks, d,

@@ -1,7 +1,7 @@
 """Per-task training loop, classifier construction, and prototype alignment."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from .masking import (ActivationCounters, Phase, SemanticProfile,
                       SparsifierConfig, dispatch_probability,
                       formulate_strategy, relation_distribution,
                       sparsify_and_record)
-from .model import Adapter, Block, FrozenBackbone
+from .model import Adapter, Block, FrozenBackbone, adapter_term
 from .numerics import (ContractViolation, NumericError, OptimizerState,
                        sgd_step)
 from .rng import TAG_ALIGN, TAG_MASK, TAG_SHUFFLE, stream_rng, stream_uniforms
@@ -36,7 +36,8 @@ class TrainConfig:
     sparsifier: SparsifierConfig = field(default_factory=SparsifierConfig)
 
     def __post_init__(self):
-        if self.se_enabled and self.ac_enabled and self.epochs < 2:
+        if (self.sgds_enabled and self.se_enabled and self.ac_enabled
+                and self.epochs < 2):
             raise ContractViolation("need >= 2 epochs when both phases enabled")
         if self.param_reg_mode not in ("off", "up", "down", "both"):
             raise ContractViolation(f"bad param_reg mode {self.param_reg_mode!r}")
@@ -193,29 +194,28 @@ def build_batch_tape(state, params, x, y, col_of, cfg, phase, profiles,
     for l, block in enumerate(state.backbone.blocks):
         target = l in state.target_layers
         if not (target or nodes):  # before the first target layer nothing trains
-            a = a + block.mlp(a)
+            a = a + block.mlp(a)[1]
             continue
         mask = None
         if target and cfg.sgds_enabled:
             # per-class probabilities from the counter state at batch start
             if phase_active:
-                cfg_phase = replace(sp, phase=phase)
                 probs = np.stack([dispatch_probability(
-                    profiles[int(c)], state.counters, l, cfg_phase)
+                    profiles[int(c)], state.counters, l, phase, sp)
                     for c in classes])
             else:
                 probs = np.ones((len(classes), state.backbone.width))
             out = sparsify_and_record(
                 a, probs[row_class], sp.k, mask_u[l],
-                counters=state.counters, c=y, layer=l, record=True)
+                counters=state.counters, c=y, layer=l)
             mask = (out != 0.0).astype(np.float64)
             a = a * mask
-        pre = a @ block.w1 + block.b1
-        out = a + (np.maximum(pre, 0.0) @ block.w2 + block.b2)
+        pre, mlp_out = block.mlp(a)
+        out = a + mlp_out
         z = None
         if target:
-            z = a @ params[f"wd_{l}"]
-            out = out + np.maximum(z, 0.0) @ params[f"wu_{l}"]
+            z, term = adapter_term(a, (params[f"wd_{l}"], params[f"wu_{l}"]))
+            out = out + term
         nodes.append(BlockRecord(l, block, a, pre, mask, z))
         a = out
 

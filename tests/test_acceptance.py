@@ -21,6 +21,7 @@ from sgds.masking import (ActivationCounters, allocation_probability,
 from sgds.model import Adapter, merge_universal
 
 from test_inference import adapter_logits
+from test_model import flat, with_flat
 from test_numerics import engine_graph, max_rel_error_vs_fd
 from test_training import trained_state
 
@@ -188,7 +189,7 @@ def test_03_counter_consistency_under_load(verdict):
         x = rng.normal(size=n)
         p = rng.random(n)
         sparsify_and_record(x, p, 0.6, rng.random(n), counters=counters, c=c,
-                            layer=layer, record=True)
+                            layer=layer)
         if i % 500 == 0:
             if not np.array_equal(counters.f, counters.f_c.sum(axis=0)):
                 ok = False
@@ -219,9 +220,9 @@ def _rand_adapters(rng, d, r, layers, count):
     ads = []
     for t in range(count):
         a = Adapter.create(t, d, r, layers, seed=int(rng.integers(1 << 30)))
-        ads.append(a.with_flat(rng.normal(size=a.flatten().size)
-                               * rng.choice([0.0, 1.0], size=a.flatten().size,
-                                            p=[0.3, 0.7])))
+        ads.append(with_flat(a, rng.normal(size=flat(a).size)
+                             * rng.choice([0.0, 1.0], size=flat(a).size,
+                                          p=[0.3, 0.7])))
     return ads
 
 
@@ -232,10 +233,10 @@ def test_05_fusion_selection_and_prediction(verdict):
         d = int(rng.integers(2, 9))
         r = max(1, d // 4)
         ads = _rand_adapters(rng, d, r, (0,), int(rng.integers(2, 5)))
-        flats = np.stack([a.flatten() for a in ads])
+        flats = np.stack([flat(a) for a in ads])
         s = flats.sum(axis=0)
         exp = np.sign(s) * np.abs(flats).max(axis=0)
-        if not np.array_equal(merge_universal(ads).flatten(), exp):
+        if not np.array_equal(flat(merge_universal(ads)), exp):
             merge_ok = False
             break
 

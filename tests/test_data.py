@@ -77,8 +77,8 @@ def test_synthetic_deterministic():
     spec = SyntheticSpec(groups=2, classes_per_group=2, dim=8,
                          samples_per_class_train=4, samples_per_class_test=2,
                          seed=9)
-    s1 = generate_synthetic(spec, 2)
-    s2 = generate_synthetic(spec, 2)
+    s1 = generate_synthetic(spec, 2, spec.seed)
+    s2 = generate_synthetic(spec, 2, spec.seed)
     for t1, t2 in zip(s1.tasks, s2.tasks):
         np.testing.assert_array_equal(t1.train_x, t2.train_x)
         np.testing.assert_array_equal(t1.test_y, t2.test_y)
@@ -93,7 +93,7 @@ def test_stream_disjoint_classes():
     spec = SyntheticSpec(groups=2, classes_per_group=4, dim=8,
                          samples_per_class_train=3, samples_per_class_test=2,
                          seed=4)
-    stream = generate_synthetic(spec, 4)
+    stream = generate_synthetic(spec, 4, spec.seed)
     seen = set()
     for t in stream.tasks:
         assert not (set(t.classes) & seen)
@@ -104,7 +104,7 @@ def test_low_noise_nearest_prototype_is_perfect():
     spec = SyntheticSpec(groups=2, classes_per_group=3, dim=16,
                          noise_sigma=1e-6, samples_per_class_train=10,
                          samples_per_class_test=5, seed=2)
-    stream = generate_synthetic(spec, 2)
+    stream = generate_synthetic(spec, 2, spec.seed)
     for t in stream.tasks:
         protos = {c: t.train_x[t.train_y == c].mean(axis=0) for c in t.classes}
         ids = list(protos)

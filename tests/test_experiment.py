@@ -9,6 +9,8 @@ from sgds.cli import main
 from sgds.experiment import (ConfigError, build_stream, parse_config,
                              run_ablation, run_experiment, run_single)
 
+from test_model import flat
+
 QUICK = {
     "tasks.count": 3,
     "dataset.groups": 2,
@@ -225,7 +227,24 @@ BAD_VALUES = [("SGDS_TRAIN_BATCH", "0", "must be at least 1"),
               ("SGDS_ADAPTER_RANK", "9",
                "adapter.rank must be at most model.dim // 2 = 8, got 9"),
               ("SGDS_TASKS_COUNT", "4",
-               "tasks.count 4 does not divide the 6 synthetic classes")]
+               "tasks.count 4 does not divide the 6 synthetic classes"),
+              ("SGDS_DATASET_GROUPS", "17",
+               "dim must be >= groups to orthogonalize bases"),
+              ("SGDS_SGDS_K", "0.01",
+               "floor(sgds.k * model.dim) must be at least 1, got 0"),
+              ("SGDS_TRAIN_EPOCHS", "1",
+               "need >= 2 epochs when both phases enabled"),
+              ("SGDS_BASELINE_PARAM_REG_MODE", "bogus",
+               "bad param_reg mode 'bogus'"),
+              ("SGDS_SGDS_TARGET_LAYERS", "9", "target layer 9 out of range"),
+              ("SGDS_SGDS_TARGET_LAYERS", "x",
+               "bad sgds.target_layers value 'x'"),
+              ("SGDS_DATASET_NOISE", "0", "noise_sigma must be positive"),
+              ("SGDS_DATASET_KIND", "file", "unknown dataset.kind 'file'"),
+              ("SGDS_DATASET_KIND", "embeddings",
+               "dataset.path required for embeddings mode"),
+              ("SGDS_MODEL_LAYERS", "65",
+               "target layers (64,) do not fit a 64-bit layer bitmap (0..63)")]
 
 
 @pytest.mark.parametrize("var,value,message", BAD_VALUES,
@@ -237,6 +256,14 @@ def test_cli_rejects_nonpositive_batch_and_epochs(tmp_path, monkeypatch,
     assert main(["run", str(quick_config(tmp_path)), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_one_epoch_is_allowed_with_sgds_off(tmp_path, monkeypatch):
+    monkeypatch.setenv("SGDS_SGDS_ENABLED", "false")
+    monkeypatch.setenv("SGDS_TRAIN_EPOCHS", "1")
+    out = tmp_path / "o"
+    assert main(["run", str(quick_config(tmp_path)), "--out", str(out)]) == 0
+    assert (out / "seed_1993" / "results.csv").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -369,7 +396,7 @@ def test_checkpoint_state_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.classifier, res.state.classifier, atol=0)
     assert len(loaded.adapters) == len(res.state.adapters)
     for a, b in zip(loaded.adapters, res.state.adapters):
-        np.testing.assert_array_equal(a.flatten(), b.flatten())
+        np.testing.assert_array_equal(flat(a), flat(b))
     # the reloaded state predicts identically
     from sgds.inference import predict
     stream = build_stream(cfg, 1993)

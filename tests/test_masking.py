@@ -166,34 +166,35 @@ def _profile(strategy, c=0, old=()):
 
 def test_dispatch_exploration_allocation_zero_counters():
     counters = make_counters(classes=(0,))
-    cfg = SparsifierConfig(target_layers=(0,), phase=Phase.EXPLORATION)
+    cfg = SparsifierConfig(target_layers=(0,))
     p = dispatch_probability(_profile(Strategy.NEW_SUBSPACE_ALLOCATION),
-                             counters, 0, cfg)
+                             counters, 0, Phase.EXPLORATION, cfg)
     np.testing.assert_array_equal(p, np.ones(6))
 
 
 def test_dispatch_exploration_reuse_zero_counters():
     counters = make_counters(classes=(0, 1))
-    cfg = SparsifierConfig(target_layers=(0,), phase=Phase.EXPLORATION)
+    cfg = SparsifierConfig(target_layers=(0,))
     p = dispatch_probability(_profile(Strategy.KNOWLEDGE_REUSE, c=1, old=(0,)),
-                             counters, 0, cfg)
+                             counters, 0, Phase.EXPLORATION, cfg)
     np.testing.assert_array_equal(p, np.zeros(6))
 
 
 def test_dispatch_compaction_delegates():
     counters = make_counters(width=3, classes=(0,))
     counters.f_c[0, 0] = [3, 0, 1]
-    cfg = SparsifierConfig(target_layers=(0,), phase=Phase.COMPACTION)
-    p = dispatch_probability(_profile(Strategy.KNOWLEDGE_REUSE), counters, 0, cfg)
+    cfg = SparsifierConfig(target_layers=(0,))
+    p = dispatch_probability(_profile(Strategy.KNOWLEDGE_REUSE), counters, 0,
+                             Phase.COMPACTION, cfg)
     np.testing.assert_allclose(p, compaction_probability(counters, 0, 0, 1.0))
 
 
 def test_dispatch_compaction_unknown_class():
     counters = make_counters(classes=(0,))
-    cfg = SparsifierConfig(target_layers=(0,), phase=Phase.COMPACTION)
+    cfg = SparsifierConfig(target_layers=(0,))
     with pytest.raises(ContractViolation):
         dispatch_probability(_profile(Strategy.KNOWLEDGE_REUSE, c=42),
-                             counters, 0, cfg)
+                             counters, 0, Phase.COMPACTION, cfg)
 
 
 def test_sparsify_top_k_support():
@@ -207,7 +208,7 @@ def test_sparsify_top_k_support():
 def test_sparsify_zero_probability():
     counters = make_counters(width=4, classes=(0,))
     out = sparsify_and_record(np.ones(4), np.zeros(4), 1.0, stream_rng(1).random(4),
-                              counters, 0, 0, record=True)
+                              counters, 0, 0)
     np.testing.assert_array_equal(out, np.zeros(4))
     assert counters.f.sum() == 0
 
@@ -216,10 +217,19 @@ def test_sparsify_identity_and_recording():
     counters = make_counters(width=4, classes=(3,))
     x = np.array([1.0, 0.0, -2.0, 3.0])
     out = sparsify_and_record(x, np.ones(4), 1.0, stream_rng(2).random(4),
-                              counters, 3, 0, record=True)
+                              counters, 3, 0)
     np.testing.assert_array_equal(out, x)
     np.testing.assert_array_equal(counters.f[0], [1, 0, 1, 1])
     np.testing.assert_array_equal(counters.f_c[0, 0], [1, 0, 1, 1])
+
+
+def test_sparsify_records_only_with_class_and_layer():
+    counters = make_counters(width=4, classes=(0,))
+    for c, layer in ((None, 0), (0, None)):
+        with pytest.raises(ContractViolation):
+            sparsify_and_record(np.ones(4), np.ones(4), 1.0,
+                                stream_rng(4).random(4), counters, c, layer)
+    assert counters.f.sum() == 0
 
 
 def test_sparsify_rejects_degenerate_k():
@@ -248,7 +258,7 @@ def test_counter_consistency_after_random_trace():
         layer = int(rng.choice([0, 2]))
         x = rng.normal(size=12)
         sparsify_and_record(x, rng.random(12), 0.5, stream_rng(100 + i).random(12),
-                            counters, c, layer, record=True)
+                            counters, c, layer)
         assert np.all(counters.f >= prev_f)
         prev_f = counters.f.copy()
         np.testing.assert_array_equal(counters.f, counters.f_c.sum(axis=0))
@@ -308,7 +318,7 @@ def test_batched_sparsify_and_record_matches_per_row_loop():
         classes = rng.choice([3, 5, 8], size=b)  # classes repeat in a batch
         got_c = make_counters(width=n, layers=(0, 2), classes=(3, 5, 8))
         ref_c = make_counters(width=n, layers=(0, 2), classes=(3, 5, 8))
-        got = sparsify_and_record(x, p, k, u, got_c, classes, 2, record=True)
+        got = sparsify_and_record(x, p, k, u, got_c, classes, 2)
         exp = _per_row_reference(x, p, u, k, classes, ref_c, 2)
         np.testing.assert_array_equal(got, exp)
         np.testing.assert_array_equal(got != 0, exp != 0)

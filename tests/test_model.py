@@ -3,7 +3,8 @@ import pytest
 
 from sgds.masking import Phase, SparsifierConfig
 from sgds.model import (Adapter, Block, FrozenBackbone, block_forward,
-                        extract, load_adapter, merge_universal, save_adapter)
+                        extract, layer_bitmap, load_adapter, merge_universal,
+                        save_adapter)
 from sgds.numerics import ContractViolation
 from sgds.training import ContinualState, TrainConfig, build_batch_tape
 
@@ -16,6 +17,24 @@ def zero_block(d):
 def rand_adapter(rng, d=4, r=2, layers=(0, 1), task_id=0):
     return Adapter(task_id, r, {
         l: (rng.normal(size=(d, r)), rng.normal(size=(r, d))) for l in layers})
+
+
+def flat(adapter):
+    """Every W_down and W_up entry of an adapter, layer by layer, in one vector."""
+    return np.concatenate([w.ravel() for l in adapter.target_layers
+                           for w in adapter.layers[l]])
+
+
+def with_flat(adapter, values):
+    """The adapter with its entries taken from ``values``, in ``flat`` order."""
+    layers, off = {}, 0
+    for l in adapter.target_layers:
+        pair = []
+        for w in adapter.layers[l]:
+            pair.append(values[off:off + w.size].reshape(w.shape).copy())
+            off += w.size
+        layers[l] = tuple(pair)
+    return Adapter(adapter.task_id, adapter.rank, layers)
 
 
 def test_zero_adapter_matches_frozen_path():
@@ -98,30 +117,30 @@ def test_backbone_frozen_and_deterministic():
 def test_merge_single_adapter_identity():
     a = rand_adapter(np.random.default_rng(0))
     merged = merge_universal([a])
-    np.testing.assert_array_equal(merged.flatten(), a.flatten())
+    np.testing.assert_array_equal(flat(merged), flat(a))
 
 
 def test_merge_hand_example():
     a = Adapter(0, 1, {0: (np.array([[1.0], [-2.0]]), np.array([[0.5, 0.0]]))})
     b = Adapter(1, 1, {0: (np.array([[-3.0], [1.0]]), np.array([[0.25, 0.0]]))})
     merged = merge_universal([a, b])
-    np.testing.assert_array_equal(merged.flatten(), [-3.0, -2.0, 0.5, 0.0])
+    np.testing.assert_array_equal(flat(merged), [-3.0, -2.0, 0.5, 0.0])
 
 
 def test_merge_exact_cancellation_is_zero():
     rng = np.random.default_rng(4)
     a = rand_adapter(rng)
-    flipped = a.with_flat(-a.flatten())
+    flipped = with_flat(a, -flat(a))
     merged = merge_universal([a, flipped])
-    np.testing.assert_array_equal(merged.flatten(), np.zeros(a.flatten().size))
+    np.testing.assert_array_equal(flat(merged), np.zeros(flat(a).size))
 
 
 def test_merge_matches_brute_force():
     rng = np.random.default_rng(5)
     for _ in range(50):
         adapters = [rand_adapter(rng, task_id=i) for i in range(3)]
-        merged = merge_universal(adapters).flatten()
-        stack = np.stack([a.flatten() for a in adapters])
+        merged = flat(merge_universal(adapters))
+        stack = np.stack([flat(a) for a in adapters])
         for j in range(stack.shape[1]):
             col = stack[:, j]
             expect = np.sign(col.sum()) * max(abs(v) for v in col)
@@ -190,7 +209,27 @@ def test_adapter_checkpoint_round_trip(tmp_path):
     assert (nb, d) == (4, 6)
     assert loaded.task_id == 5 and loaded.rank == 3
     assert loaded.target_layers == (1, 3)
-    np.testing.assert_array_equal(loaded.flatten(), a.flatten())
+    np.testing.assert_array_equal(flat(loaded), flat(a))
+
+
+def test_save_adapter_rejects_layer_past_bitmap_before_writing(tmp_path):
+    path = tmp_path / "a.sgdsadp"
+    for layer in (64, 70):
+        a = rand_adapter(np.random.default_rng(10), layers=(1, layer))
+        with pytest.raises(ContractViolation, match="64-bit layer bitmap"):
+            save_adapter(path, a, num_blocks=layer + 1, d=4)
+        assert not path.exists()
+    save_adapter(path, rand_adapter(np.random.default_rng(11), layers=(63,)),
+                 num_blocks=64, d=4)
+    assert load_adapter(path)[0].target_layers == (63,)
+
+
+def test_layer_bitmap_sets_one_bit_per_layer_0_to_63():
+    assert layer_bitmap((1, 1, 3)) == 0b1010  # a repeated layer is one bit
+    assert layer_bitmap((63,)) == 1 << 63
+    for bad in ((64,), (-1,)):
+        with pytest.raises(ContractViolation):
+            layer_bitmap(bad)
 
 
 def test_load_adapter_reports_truncation_and_trailing_bytes(tmp_path):

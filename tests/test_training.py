@@ -215,6 +215,8 @@ def test_enabled_sgds_masks_target_layer():
 def test_config_needs_two_epochs_for_two_phases():
     with pytest.raises(ContractViolation):
         TrainConfig(epochs=1)
+    # with SGDS off no phase is used, so one epoch is enough
+    assert TrainConfig(epochs=1, sgds_enabled=False).epochs == 1
 
 
 def test_param_reg_penalty_increases_loss():
