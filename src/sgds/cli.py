@@ -116,7 +116,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractViolation, FileNotFoundError) as exc:
+    except (ConfigError, ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

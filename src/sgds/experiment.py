@@ -41,51 +41,78 @@ def _to_seeds(s: str) -> tuple[int, ...]:
 
 
 _SCHEMA: dict[str, tuple] = {
-    # key: (converter, default)
-    "dataset.kind": (str, "synthetic"),
-    "dataset.path": (str, ""),
-    "dataset.groups": (int, 4),
-    "dataset.classes_per_group": (int, 5),
-    "dataset.angle": (float, 0.25),
-    "dataset.noise": (float, 0.15),
-    "dataset.train_per_class": (int, 100),
-    "dataset.test_per_class": (int, 50),
-    "dataset.seed": (int, 0),
-    "tasks.count": (int, 10),
-    "tasks.seed": (int, 1993),
-    "model.layers": (int, 4),
-    "model.dim": (int, 64),
-    "adapter.rank": (int, 16),
-    "sgds.enabled": (_to_bool, True),
-    "sgds.k": (float, 0.6),
-    "sgds.beta": (float, 0.5),
-    "sgds.gamma": (float, 1.0),
-    "sgds.target_layers": (str, "last"),
-    "sgds.se": (_to_bool, True),
-    "sgds.ac": (_to_bool, True),
-    "train.epochs": (int, 20),
-    "train.batch": (int, 48),
-    "train.lr": (float, 0.01),
-    "train.momentum": (float, 0.9),
-    "train.weight_decay": (float, 0.0),
-    "baseline.param_reg.mode": (str, "off"),
-    "baseline.param_reg.lambda": (float, 0.1),
-    "align.samples": (int, 256),
-    "run.seeds": (_to_seeds, ()),
-    "out.dir": (str, "runs"),
-    "out.chart": (_to_bool, False),
+    # key: (converter, default, minimum or None)
+    "dataset.kind": (str, "synthetic", None),
+    "dataset.path": (str, "", None),
+    "dataset.groups": (int, 4, 1),
+    "dataset.classes_per_group": (int, 5, 1),
+    "dataset.angle": (float, 0.25, None),
+    "dataset.noise": (float, 0.15, None),
+    "dataset.train_per_class": (int, 100, 1),
+    "dataset.test_per_class": (int, 50, 0),
+    "dataset.seed": (int, 0, None),
+    "tasks.count": (int, 10, 1),
+    "tasks.seed": (int, 1993, None),
+    "model.layers": (int, 4, 1),
+    "model.dim": (int, 64, 1),
+    "adapter.rank": (int, 16, 1),
+    "sgds.enabled": (_to_bool, True, None),
+    "sgds.k": (float, 0.6, None),
+    "sgds.beta": (float, 0.5, None),
+    "sgds.gamma": (float, 1.0, None),
+    "sgds.target_layers": (str, "last", None),
+    "sgds.se": (_to_bool, True, None),
+    "sgds.ac": (_to_bool, True, None),
+    "train.epochs": (int, 20, 1),
+    "train.batch": (int, 48, 1),
+    "train.lr": (float, 0.01, None),
+    "train.momentum": (float, 0.9, None),
+    "train.weight_decay": (float, 0.0, None),
+    "baseline.param_reg.mode": (str, "off", None),
+    "baseline.param_reg.lambda": (float, 0.1, None),
+    "align.samples": (int, 256, 0),
+    "run.seeds": (_to_seeds, (), None),
+    "out.dir": (str, "runs", None),
+    "out.chart": (_to_bool, False, None),
 }
-
-_MINIMUM = {"tasks.count": 1, "model.layers": 1, "model.dim": 1,
-            "adapter.rank": 1, "dataset.groups": 1,
-            "dataset.classes_per_group": 1, "dataset.train_per_class": 1,
-            "dataset.test_per_class": 0, "train.epochs": 1, "train.batch": 1,
-            "align.samples": 0}
 
 
 @dataclass
 class Config:
+    """Converted values by dotted key; a Config that exists is a valid one."""
+
     values: dict
+
+    def __post_init__(self):
+        v = self.values
+        for key, (conv, _, low) in _SCHEMA.items():
+            if low is not None and v[key] < low:
+                raise ConfigError(f"{key} must be at least {low}, got {v[key]}")
+            if conv is float and not math.isfinite(v[key]):
+                raise ConfigError(f"{key} must be finite, got {v[key]}")
+        if not 0.0 < v["sgds.k"] <= 1.0:
+            raise ConfigError(f"sgds.k must be in (0, 1], got {v['sgds.k']}")
+        if v["adapter.rank"] > v["model.dim"] // 2:
+            raise ConfigError(f"adapter.rank must be at most model.dim // 2 = "
+                              f"{v['model.dim'] // 2}, got {v['adapter.rank']}")
+        kept = math.floor(v["sgds.k"] * v["model.dim"])
+        if kept < 1:
+            raise ConfigError(f"floor(sgds.k * model.dim) must be at least 1, got {kept}")
+        kind = v["dataset.kind"]
+        if kind not in ("synthetic", "embeddings"):
+            raise ConfigError(f"unknown dataset.kind {kind!r}")
+        if kind == "embeddings" and not v["dataset.path"]:
+            raise ConfigError("dataset.path required for embeddings mode")
+        classes = v["dataset.groups"] * v["dataset.classes_per_group"]
+        if kind == "synthetic" and classes % v["tasks.count"]:
+            raise ConfigError(f"tasks.count {v['tasks.count']} does not divide "
+                              f"the {classes} synthetic classes")
+        try:  # the checks the run itself would make, before any output exists
+            layer_bitmap(self.train_config().sparsifier.target_layers)
+            if kind == "synthetic":
+                self.synthetic_spec()
+        except ContractViolation as exc:
+            raise ConfigError(str(exc)) from None
 
     def __getitem__(self, key):
         return self.values[key]
@@ -99,9 +126,11 @@ class Config:
             layers = tuple(sorted(int(p) for p in raw.split(",")))
         except ValueError:
             raise ConfigError(f"bad sgds.target_layers value {raw!r}")
-        for l in layers:
+        for i, l in enumerate(layers):
             if not 0 <= l < self.values["model.layers"]:
                 raise ConfigError(f"target layer {l} out of range")
+            if l in layers[:i]:
+                raise ConfigError(f"target layer {l} given twice")
         return layers
 
     @property
@@ -145,7 +174,7 @@ class Config:
 
 def parse_config(path=None, overrides: dict | None = None) -> Config:
     """Flat key=value file with dotted keys; env vars SGDS_* override keys."""
-    values = {k: d for k, (_, d) in _SCHEMA.items()}
+    values = {k: d for k, (_, d, _) in _SCHEMA.items()}
     raw: dict[str, str] = {}
     if path is not None:
         with open(path) as f:
@@ -166,44 +195,13 @@ def parse_config(path=None, overrides: dict | None = None) -> Config:
     for key, val in raw.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        conv, _ = _SCHEMA[key]
         try:
-            values[key] = conv(val)
+            values[key] = _SCHEMA[key][0](val)
         except ConfigError:
             raise
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {val!r}")
-    for key, low in _MINIMUM.items():
-        if values[key] < low:
-            raise ConfigError(f"{key} must be at least {low}, got {values[key]}")
-    for key, (conv, _) in _SCHEMA.items():
-        if conv is float and not math.isfinite(values[key]):
-            raise ConfigError(f"{key} must be finite, got {values[key]}")
-    if not 0.0 < values["sgds.k"] <= 1.0:
-        raise ConfigError(f"sgds.k must be in (0, 1], got {values['sgds.k']}")
-    if values["adapter.rank"] > values["model.dim"] // 2:
-        raise ConfigError(f"adapter.rank must be at most model.dim // 2 = "
-                          f"{values['model.dim'] // 2}, got {values['adapter.rank']}")
-    kept = math.floor(values["sgds.k"] * values["model.dim"])
-    if kept < 1:
-        raise ConfigError(f"floor(sgds.k * model.dim) must be at least 1, got {kept}")
-    kind = values["dataset.kind"]
-    if kind not in ("synthetic", "embeddings"):
-        raise ConfigError(f"unknown dataset.kind {kind!r}")
-    if kind == "embeddings" and not values["dataset.path"]:
-        raise ConfigError("dataset.path required for embeddings mode")
-    classes = values["dataset.groups"] * values["dataset.classes_per_group"]
-    if kind == "synthetic" and classes % values["tasks.count"]:
-        raise ConfigError(f"tasks.count {values['tasks.count']} does not divide "
-                          f"the {classes} synthetic classes")
-    cfg = Config(values)
-    try:  # the checks the run itself would make, before any output exists
-        layer_bitmap(cfg.train_config().sparsifier.target_layers)
-        if kind == "synthetic":
-            cfg.synthetic_spec()
-    except ContractViolation as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
+    return Config(values)
 
 
 def build_stream(cfg: Config, split_seed: int):
@@ -303,13 +301,14 @@ def write_chart_svg(path, avg_acc: list[float]) -> None:
 def run_experiment(cfg: Config, out_dir=None) -> list[RunResult]:
     """Run every configured seed; write per-seed reports plus an aggregate."""
     out_dir = cfg["out.dir"] if out_dir is None else out_dir
+    streams = {seed: build_stream(cfg, seed) for seed in cfg.seeds}
     os.makedirs(out_dir, exist_ok=True)
     results = []
     for seed in cfg.seeds:
         run_dir = os.path.join(out_dir, f"seed_{seed}")
         os.makedirs(run_dir, exist_ok=True)
         try:
-            res = run_single(cfg, seed)
+            res = run_single(cfg, seed, stream=streams[seed])
         except Exception:
             with open(os.path.join(out_dir, "FAILED"), "w") as f:
                 f.write(f"seed {seed} aborted\n")
@@ -362,9 +361,6 @@ def run_ablation(cfg: Config, out_dir=None, param_reg: bool = False,
                  layer_sweep: bool = False) -> list[dict]:
     """SE/AC grid (optionally plus param-reg modes and a layer sweep)."""
     out_dir = cfg["out.dir"] if out_dir is None else out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    streams = {seed: build_stream(cfg, seed) for seed in cfg.seeds}
-
     cells = [(name, {"sgds.enabled": on, "sgds.se": se, "sgds.ac": ac,
                      "baseline.param_reg.mode": "off"})
              for name, on, se, ac in ABLATION_CELLS]
@@ -376,9 +372,12 @@ def run_ablation(cfg: Config, out_dir=None, param_reg: bool = False,
     if layer_sweep:
         cells += [(f"layer_{l}", {**grid["full"], "sgds.target_layers": str(l)})
                   for l in range(cfg["model.layers"])]
+    # every cell is checked and every stream built before any output exists
+    cells = [(name, Config({**cfg.values, **o})) for name, o in cells]
+    streams = {seed: build_stream(cfg, seed) for seed in cfg.seeds}
+    os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for name, overrides in cells:
-        cell = Config({**cfg.values, **overrides})
+    for name, cell in cells:
         bars, finals = [], []
         for seed in cfg.seeds:
             res = run_single(cell, seed, stream=streams[seed])

@@ -178,17 +178,19 @@ def _check_finite(name: str, value) -> None:
         raise NumericError(f"non-finite {name}")
 
 
-def build_batch_tape(state, params, x, y, col_of, cfg, phase, profiles,
+def build_batch_tape(state, params, x, y, slots, cfg, phase, profiles,
                      prev_adapters, mask_u):
     """Forward pass of one batch; returns (tape, loss).
 
-    ``params`` maps ``head_new`` and ``wd_<l>``/``wu_<l>`` per target layer to
-    the arrays ``sgd_step`` updates.  ``mask_u`` maps each target layer to the
-    batch's ``(B, width)`` mask uniforms; it is read only when SGDS is enabled.
+    ``y`` holds each row's class and ``slots`` its index in the task's class
+    list, which ``profiles`` follows; the row's logit column is its slot after
+    the old-class head rows.  ``params`` maps ``head_new`` and
+    ``wd_<l>``/``wu_<l>`` per target layer to the arrays ``sgd_step`` updates.
+    ``mask_u`` maps each target layer to the batch's ``(B, width)`` mask
+    uniforms; it is read only when SGDS is enabled.
     """
     sp = cfg.sparsifier
     phase_active = cfg.se_enabled if phase is Phase.EXPLORATION else cfg.ac_enabled
-    classes, row_class = np.unique(y, return_inverse=True)
     nodes = []
     a = x
     for l, block in enumerate(state.backbone.blocks):
@@ -201,13 +203,11 @@ def build_batch_tape(state, params, x, y, col_of, cfg, phase, profiles,
             # per-class probabilities from the counter state at batch start
             if phase_active:
                 probs = np.stack([dispatch_probability(
-                    profiles[int(c)], state.counters, l, phase, sp)
-                    for c in classes])
+                    p, state.counters, l, phase, sp) for p in profiles])[slots]
             else:
-                probs = np.ones((len(classes), state.backbone.width))
-            out = sparsify_and_record(
-                a, probs[row_class], sp.k, mask_u[l],
-                counters=state.counters, c=y, layer=l)
+                probs = np.ones_like(a)
+            out = sparsify_and_record(a, probs, sp.k, mask_u[l],
+                                      counters=state.counters, c=y, layer=l)
             mask = (out != 0.0).astype(np.float64)
             a = a * mask
         pre, mlp_out = block.mlp(a)
@@ -222,7 +222,7 @@ def build_batch_tape(state, params, x, y, col_of, cfg, phase, profiles,
     logits = np.concatenate([a @ state.classifier.T, a @ params["head_new"]],
                             axis=1)
     _check_finite("logits", logits)
-    labels = np.array([col_of[int(c)] for c in y], dtype=np.int64)
+    labels = len(state.classifier) + slots
     rows = np.arange(len(labels))
     shifted = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1))
@@ -305,10 +305,8 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     state.frozen_prototypes.update(frozen)
     old = tuple(state.class_ids)
     pool = {c: state.frozen_prototypes[c] for c in (*old, *task.classes)}
-    profiles = {}
-    for c in task.classes:
-        rel = relation_distribution(c, pool)
-        profiles[c] = formulate_strategy(c, rel, old, task.classes)
+    profiles = [formulate_strategy(c, relation_distribution(c, pool), old,
+                                   task.classes) for c in task.classes]
 
     for c in task.classes:
         state.counters.ensure_class(c)
@@ -319,8 +317,8 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     params = {"head_new": np.zeros((d, len(task.classes)))}
     for l in state.target_layers:
         params[f"wd_{l}"], params[f"wu_{l}"] = adapter.layers[l]
-    col_of = {c: i for i, c in enumerate(state.class_ids)}
-    col_of.update({c: len(state.class_ids) + i for i, c in enumerate(task.classes)})
+    slot_of = {c: i for i, c in enumerate(task.classes)}
+    slots = np.array([slot_of[int(c)] for c in task.train_y], dtype=np.int64)
 
     opt = OptimizerState(base_lr=cfg.lr, momentum=cfg.momentum,
                          weight_decay=cfg.weight_decay, total_epochs=cfg.epochs)
@@ -341,7 +339,7 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
             try:
                 tape, loss = build_batch_tape(
                     state, params, task.train_x[idx], task.train_y[idx],
-                    col_of, cfg, phase, profiles, state.adapters, mask_u)
+                    slots[idx], cfg, phase, profiles, state.adapters, mask_u)
                 sgd_step(opt, params, backward(tape, params))
                 for name, p in params.items():
                     _check_finite(name, p)
@@ -369,7 +367,7 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     state.classifier = build_classifier(
         {c: state.class_stats[c][0] for c in state.class_ids}, state.class_ids)
     state.task_logs.append(TaskLog(
-        profiles=[profiles[c] for c in task.classes],
+        profiles=profiles,
         epoch_losses=epoch_losses,
         epoch_phases=epoch_phases,
     ))

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from sgds.cli import main
-from sgds.experiment import (ConfigError, build_stream, parse_config,
-                             run_ablation, run_experiment, run_single)
+from sgds import experiment
+from sgds.experiment import (_SCHEMA, ENV_PREFIX, Config, ConfigError,
+                             build_stream, parse_config, run_ablation,
+                             run_experiment, run_single)
 
 from test_model import flat
 
@@ -239,6 +241,7 @@ BAD_VALUES = [("SGDS_TRAIN_BATCH", "0", "must be at least 1"),
               ("SGDS_SGDS_TARGET_LAYERS", "9", "target layer 9 out of range"),
               ("SGDS_SGDS_TARGET_LAYERS", "x",
                "bad sgds.target_layers value 'x'"),
+              ("SGDS_SGDS_TARGET_LAYERS", "1,1", "target layer 1 given twice"),
               ("SGDS_DATASET_NOISE", "0", "noise_sigma must be positive"),
               ("SGDS_DATASET_KIND", "file", "unknown dataset.kind 'file'"),
               ("SGDS_DATASET_KIND", "embeddings",
@@ -255,6 +258,32 @@ def test_cli_rejects_nonpositive_batch_and_epochs(tmp_path, monkeypatch,
     out = tmp_path / "o"
     assert main(["run", str(quick_config(tmp_path)), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("var,value,message", BAD_VALUES,
+                         ids=[f"{var}-{value}" for var, value, _ in BAD_VALUES])
+def test_config_checks_values_where_made(tmp_path, var, value, message):
+    values = dict(parse_config(quick_config(tmp_path)).values)
+    key = next(k for k in values
+               if ENV_PREFIX + k.replace(".", "_").upper() == var)
+    values[key] = _SCHEMA[key][0](value)
+    with pytest.raises(ConfigError) as exc:
+        Config(values)
+    assert message in str(exc.value)
+
+
+def test_ablate_checks_every_cell_before_the_first_run(tmp_path, monkeypatch,
+                                                       capsys):
+    calls = []
+    monkeypatch.setattr(experiment, "run_single",
+                        lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setenv("SGDS_SGDS_ENABLED", "false")
+    monkeypatch.setenv("SGDS_TRAIN_EPOCHS", "1")
+    out = tmp_path / "o"
+    assert main(["ablate", str(quick_config(tmp_path)), "--out", str(out)]) == 1
+    assert "need >= 2 epochs when both phases enabled" in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
 
 
@@ -381,6 +410,45 @@ def test_cli_rejects_non_finite_embedding(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: nan.sgdsemb: non-finite feature in sample 37 "
         f"(byte offset {20 + 37 * record})\n")
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("env,message", [
+    ({"SGDS_DATASET_PATH": "missing.sgdsemb"}, "No such file or directory"),
+    ({"SGDS_MODEL_DIM": "32"}, "embedding dim does not match model.dim"),
+    ({"SGDS_TASKS_COUNT": "4"}, "num_classes must be divisible by num_tasks")],
+    ids=["missing-path", "dim-mismatch", "indivisible-classes"])
+def test_cli_embedding_errors_precede_output(tmp_path, monkeypatch, capsys,
+                                            command, env, message):
+    from sgds.data import write_embeddings
+    x = np.random.default_rng(0).normal(size=(60, 16)).astype(np.float32)
+    write_embeddings(tmp_path / "pool.sgdsemb", x, np.repeat(np.arange(6), 10), 6)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SGDS_DATASET_KIND", "embeddings")
+    monkeypatch.setenv("SGDS_DATASET_PATH", "pool.sgdsemb")
+    monkeypatch.setenv("SGDS_DATASET_TEST_PER_CLASS", "2")
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    out = tmp_path / "o"
+    assert main([command, str(quick_config(tmp_path)), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "quick.cfg", "--out", "a_file"], "File exists"),
+    (["eval", "a_file"], "Not a directory"),
+    (["inspect-counters", "a_file"], "Not a directory"),
+    (["run", "."], "Is a directory")],
+    ids=["run-out-file", "eval-file", "inspect-counters-file", "run-directory"])
+def test_cli_os_path_errors_exit_1(tmp_path, monkeypatch, capsys, argv,
+                                   message):
+    quick_config(tmp_path)
+    (tmp_path / "a_file").write_text("not a directory\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_checkpoint_state_round_trip(tmp_path):

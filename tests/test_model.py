@@ -164,8 +164,8 @@ def orthogonality_penalty(cur, previous, mode):
         state = ContinualState.create(FrozenBackbone.create(max(layers) + 1, d),
                                       cfg)
         losses.append(build_batch_tape(state, params, x, np.array([0, 1]),
-                                       {0: 0, 1: 1}, cfg, Phase.EXPLORATION,
-                                       {}, previous, {})[1])
+                                       np.array([0, 1]), cfg, Phase.EXPLORATION,
+                                       [], previous, {})[1])
     return losses[1] - losses[0]
 
 

@@ -41,16 +41,15 @@ def engine_graph(seed, d, r, layers=1, targets=(0,), masked=False, n_old=0,
     classifier = rng.normal(size=(n_old, d))
     x = rng.normal(size=(batch, d))
     y = rng.integers(n_old, n_old + n_new, size=batch)
-    col_of = {c: c for c in range(n_old + n_new)}
     mask_u = {l: rng.random((batch, d)) for l in targets}
 
     def loss_fn(p):
         state = ContinualState.create(backbone, cfg)
         state.classifier = classifier
-        for c in col_of:
+        for c in range(n_old + n_new):
             state.counters.ensure_class(c)
-        return build_batch_tape(state, p, x, y, col_of, cfg, Phase.EXPLORATION,
-                                {}, prev, mask_u)
+        return build_batch_tape(state, p, x, y, y - n_old, cfg,
+                                Phase.EXPLORATION, [], prev, mask_u)
 
     return params, loss_fn
 
@@ -88,8 +87,8 @@ def single_row(logits, label, d=8):
 
     def run():
         return build_batch_tape(state, params, x, np.array([label]),
-                                {c: c for c in range(n)}, cfg,
-                                Phase.EXPLORATION, {}, [], {})
+                                np.array([label]), cfg,
+                                Phase.EXPLORATION, [], [], {})
 
     f = run()[0].features[0]
     params["head_new"] = np.outer(f, logits) / (f @ f)

@@ -180,18 +180,18 @@ def _batch_tape_for(cfg):
     task = stream.tasks[0]
     params = {"head_new": np.zeros((16, len(task.classes))),
               "wd_1": np.zeros((16, 4)), "wu_1": np.zeros((4, 16))}
-    col_of = {c: i for i, c in enumerate(task.classes)}
     for c in task.classes:
         state.counters.ensure_class(c)
     from sgds.masking import formulate_strategy, relation_distribution
     from sgds.data import compute_prototypes
     protos = compute_prototypes(task.train_x, task.train_y)
-    profiles = {c: formulate_strategy(c, relation_distribution(c, protos),
-                                      (), task.classes)
-                for c in task.classes}
+    profiles = [formulate_strategy(c, relation_distribution(c, protos),
+                                   (), task.classes)
+                for c in task.classes]
+    slots = np.array([task.classes.index(c) for c in task.train_y[:8]])
     before = state.counters.f.copy()
     tape, _ = build_batch_tape(
-        state, params, task.train_x[:8], task.train_y[:8], col_of, cfg,
+        state, params, task.train_x[:8], task.train_y[:8], slots, cfg,
         Phase.EXPLORATION, profiles, [], {1: np.full((8, 16), 0.5)})
     return tape, state.counters.f - before
 
