@@ -6,7 +6,6 @@ import struct
 
 import numpy as np
 
-from .masking import ActivationCounters
 from .model import (BlobReader, FrozenBackbone, layer_bitmap, load_adapter,
                     save_adapter)
 from .numerics import ContractViolation
@@ -61,7 +60,6 @@ def load_state(dirpath, backbone: FrozenBackbone) -> ContinualState:
         masked_inference=bool(masked),
         classifier=np.stack(rows) if rows else np.zeros((0, d)),
         class_ids=class_ids, class_stats=class_stats,
-        counters=ActivationCounters(target_layers, d),
     )
     names = sorted(n for n in os.listdir(dirpath) if n.endswith(".sgdsadp"))
     if not names:

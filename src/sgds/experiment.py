@@ -5,6 +5,7 @@ import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +14,7 @@ from .checkpoint import save_state
 from .data import (SyntheticSpec, embeddings_to_stream, generate_synthetic,
                    load_embeddings)
 from .inference import evaluate_row, summarize
-from .masking import SparsifierConfig, Strategy
+from .masking import Strategy
 from .model import FrozenBackbone, layer_bitmap
 from .numerics import ContractViolation
 from .training import ContinualState, TrainConfig, train_task
@@ -108,7 +109,8 @@ class Config:
             raise ConfigError(f"tasks.count {v['tasks.count']} does not divide "
                               f"the {classes} synthetic classes")
         try:  # the checks the run itself would make, before any output exists
-            layer_bitmap(self.train_config().sparsifier.target_layers)
+            self.train_config()
+            layer_bitmap(self.target_layers)
             if kind == "synthetic":
                 self.synthetic_spec()
         except ContractViolation as exc:
@@ -163,12 +165,8 @@ class Config:
             param_reg_lambda=self.values["baseline.param_reg.lambda"],
             adapter_rank=self.values["adapter.rank"],
             align_samples=self.values["align.samples"],
-            sparsifier=SparsifierConfig(
-                k=self.values["sgds.k"],
-                beta=self.values["sgds.beta"],
-                gamma=self.values["sgds.gamma"],
-                target_layers=self.target_layers,
-            ),
+            beta=self.values["sgds.beta"],
+            gamma=self.values["sgds.gamma"],
         )
 
 
@@ -231,7 +229,8 @@ def run_single(cfg: Config, seed: int, stream=None) -> RunResult:
         stream = build_stream(cfg, seed)
     tcfg = cfg.train_config()
     backbone = FrozenBackbone.create(cfg["model.layers"], cfg["model.dim"])
-    state = ContinualState.create(backbone, tcfg)
+    state = ContinualState(backbone, cfg.target_layers, cfg["sgds.k"],
+                           cfg["sgds.enabled"])
     t_total = len(stream.tasks)
     matrix = np.full((t_total, t_total), np.nan)
     seconds = []
@@ -298,6 +297,20 @@ def write_chart_svg(path, avg_acc: list[float]) -> None:
         f.write("</svg>\n")
 
 
+@contextmanager
+def _marks_failure(out_dir, what: str):
+    """Drop an old ``out_dir/FAILED``; write one naming ``what`` on a raise."""
+    failed = os.path.join(out_dir, "FAILED")
+    if os.path.exists(failed):
+        os.remove(failed)
+    try:
+        yield
+    except Exception:
+        with open(failed, "w") as f:
+            f.write(f"{what} aborted\n")
+        raise
+
+
 def run_experiment(cfg: Config, out_dir=None) -> list[RunResult]:
     """Run every configured seed; write per-seed reports plus an aggregate."""
     out_dir = cfg["out.dir"] if out_dir is None else out_dir
@@ -307,12 +320,8 @@ def run_experiment(cfg: Config, out_dir=None) -> list[RunResult]:
     for seed in cfg.seeds:
         run_dir = os.path.join(out_dir, f"seed_{seed}")
         os.makedirs(run_dir, exist_ok=True)
-        try:
+        with _marks_failure(out_dir, f"seed {seed}"):
             res = run_single(cfg, seed, stream=streams[seed])
-        except Exception:
-            with open(os.path.join(out_dir, "FAILED"), "w") as f:
-                f.write(f"seed {seed} aborted\n")
-            raise
         results.append(res)
         write_results_csv(os.path.join(run_dir, "results.csv"),
                           res.matrix, res.a_bar, res.a_final)
@@ -377,27 +386,30 @@ def run_ablation(cfg: Config, out_dir=None, param_reg: bool = False,
     streams = {seed: build_stream(cfg, seed) for seed in cfg.seeds}
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for name, cell in cells:
-        bars, finals = [], []
-        for seed in cfg.seeds:
-            res = run_single(cell, seed, stream=streams[seed])
-            bars.append(res.a_bar)
-            finals.append(res.a_final)
-        bars, finals = np.array(bars), np.array(finals)
-        rows.append({"cell": name, "sgds": cell["sgds.enabled"],
-                     "se": cell["sgds.se"], "ac": cell["sgds.ac"],
-                     "param_reg": cell["baseline.param_reg.mode"],
-                     "layers": ",".join(map(str, cell.target_layers)),
-                     "a_bar_mean": float(bars.mean()),
-                     "a_bar_std": float(bars.std()),
-                     "a_T_mean": float(finals.mean()),
-                     "a_T_std": float(finals.std())})
+    # a cell's row is written when it ends, so a failure keeps earlier rows
     with open(os.path.join(out_dir, "ablation.csv"), "w") as f:
         f.write("cell,sgds,se,ac,param_reg,layers,"
                 "A_bar_mean,A_bar_std,A_T_mean,A_T_std\n")
-        for r in rows:
+        for name, cell in cells:
+            bars, finals = [], []
+            for seed in cfg.seeds:
+                with _marks_failure(out_dir, f"cell {name} seed {seed}"):
+                    res = run_single(cell, seed, stream=streams[seed])
+                bars.append(res.a_bar)
+                finals.append(res.a_final)
+            bars, finals = np.array(bars), np.array(finals)
+            r = {"cell": name, "sgds": cell["sgds.enabled"],
+                 "se": cell["sgds.se"], "ac": cell["sgds.ac"],
+                 "param_reg": cell["baseline.param_reg.mode"],
+                 "layers": ",".join(map(str, cell.target_layers)),
+                 "a_bar_mean": float(bars.mean()),
+                 "a_bar_std": float(bars.std()),
+                 "a_T_mean": float(finals.mean()),
+                 "a_T_std": float(finals.std())}
+            rows.append(r)
             f.write(f"{r['cell']},{r['sgds']},{r['se']},{r['ac']},"
                     f"{r['param_reg']},\"{r['layers']}\","
                     f"{_fmt(r['a_bar_mean'])},{_fmt(r['a_bar_std'])},"
                     f"{_fmt(r['a_T_mean'])},{_fmt(r['a_T_std'])}\n")
+            f.flush()
     return rows

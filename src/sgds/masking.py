@@ -8,7 +8,7 @@ Probability conventions for zero history (all deliberate):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -34,18 +34,6 @@ class SemanticProfile:
     s_old: float
     s_new: float
     strategy: Strategy
-
-
-@dataclass
-class SparsifierConfig:
-    k: float = 0.6
-    beta: float = 0.5
-    gamma: float = 1.0
-    target_layers: tuple[int, ...] = (3,)
-
-    def __post_init__(self):
-        if not 0.0 < self.k <= 1.0:
-            raise ContractViolation("sparsity ratio k must be in (0, 1]")
 
 
 class ActivationCounters:
@@ -176,16 +164,15 @@ def compaction_probability(counters: ActivationCounters, c: int, layer: int,
 
 
 def dispatch_probability(profile: SemanticProfile, counters: ActivationCounters,
-                         layer: int, phase: Phase,
-                         config: SparsifierConfig) -> np.ndarray:
+                         layer: int, phase: Phase, beta: float,
+                         gamma: float) -> np.ndarray:
     """Route to the phase/strategy-appropriate probability formula."""
     if phase is Phase.COMPACTION:
-        return compaction_probability(counters, profile.class_id, layer,
-                                      config.gamma)
+        return compaction_probability(counters, profile.class_id, layer, gamma)
     if profile.strategy is Strategy.KNOWLEDGE_REUSE:
         relation_old = {y: profile.relation[y] for y in profile.old_classes}
         return reuse_probability(counters, relation_old, layer)
-    return allocation_probability(counters, layer, config.beta)
+    return allocation_probability(counters, layer, beta)
 
 
 def top_k_mask(a: np.ndarray, k: float) -> np.ndarray:

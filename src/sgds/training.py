@@ -8,9 +8,8 @@ import numpy as np
 from .data import compute_prototypes
 from .inference import embed
 from .masking import (ActivationCounters, Phase, SemanticProfile,
-                      SparsifierConfig, dispatch_probability,
-                      formulate_strategy, relation_distribution,
-                      sparsify_and_record)
+                      dispatch_probability, formulate_strategy,
+                      relation_distribution, sparsify_and_record)
 from .model import Adapter, Block, FrozenBackbone, adapter_term
 from .numerics import (ContractViolation, NumericError, OptimizerState,
                        sgd_step)
@@ -33,7 +32,8 @@ class TrainConfig:
     param_reg_lambda: float = 0.1
     adapter_rank: int = 16
     align_samples: int = 256
-    sparsifier: SparsifierConfig = field(default_factory=SparsifierConfig)
+    beta: float = 0.5
+    gamma: float = 1.0
 
     def __post_init__(self):
         if (self.sgds_enabled and self.se_enabled and self.ac_enabled
@@ -52,31 +52,32 @@ class TaskLog:
 
 @dataclass
 class ContinualState:
+    """What a run has learnt, and the only home of ``k`` and the target layers."""
+
     backbone: FrozenBackbone
     target_layers: tuple[int, ...]
     k: float
     masked_inference: bool
     adapters: list[Adapter] = field(default_factory=list)
-    classifier: np.ndarray = None
+    classifier: np.ndarray | None = None
     class_ids: list[int] = field(default_factory=list)
     class_stats: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     frozen_prototypes: dict[int, np.ndarray] = field(default_factory=dict)
-    counters: ActivationCounters = None
+    counters: ActivationCounters | None = None
     task_logs: list[TaskLog] = field(default_factory=list)
     # (adapters merged, their universal adapter); see inference.predict
     universal: tuple | None = field(default=None, repr=False, compare=False)
 
-    @classmethod
-    def create(cls, backbone: FrozenBackbone, cfg: TrainConfig) -> "ContinualState":
-        sp = cfg.sparsifier
-        return cls(
-            backbone=backbone,
-            target_layers=tuple(sorted(sp.target_layers)),
-            k=sp.k,
-            masked_inference=cfg.sgds_enabled,
-            classifier=np.zeros((0, backbone.width)),
-            counters=ActivationCounters(sp.target_layers, backbone.width),
-        )
+    def __post_init__(self):
+        if not 0.0 < self.k <= 1.0:
+            raise ContractViolation(
+                f"sparsity ratio k must be in (0, 1], got {self.k}")
+        self.target_layers = tuple(sorted(self.target_layers))
+        if self.classifier is None:
+            self.classifier = np.zeros((0, self.backbone.width))
+        if self.counters is None:
+            self.counters = ActivationCounters(self.target_layers,
+                                               self.backbone.width)
 
 
 def build_classifier(prototypes: dict[int, np.ndarray], order) -> np.ndarray:
@@ -178,8 +179,7 @@ def _check_finite(name: str, value) -> None:
         raise NumericError(f"non-finite {name}")
 
 
-def build_batch_tape(state, params, x, y, slots, cfg, phase, profiles,
-                     prev_adapters, mask_u):
+def build_batch_tape(state, params, x, y, slots, cfg, phase, profiles, mask_u):
     """Forward pass of one batch; returns (tape, loss).
 
     ``y`` holds each row's class and ``slots`` its index in the task's class
@@ -187,9 +187,9 @@ def build_batch_tape(state, params, x, y, slots, cfg, phase, profiles,
     the old-class head rows.  ``params`` maps ``head_new`` and
     ``wd_<l>``/``wu_<l>`` per target layer to the arrays ``sgd_step`` updates.
     ``mask_u`` maps each target layer to the batch's ``(B, width)`` mask
-    uniforms; it is read only when SGDS is enabled.
+    uniforms; it is read only when SGDS is enabled.  The orthogonality
+    penalty runs against every adapter in ``state.adapters``.
     """
-    sp = cfg.sparsifier
     phase_active = cfg.se_enabled if phase is Phase.EXPLORATION else cfg.ac_enabled
     nodes = []
     a = x
@@ -203,10 +203,11 @@ def build_batch_tape(state, params, x, y, slots, cfg, phase, profiles,
             # per-class probabilities from the counter state at batch start
             if phase_active:
                 probs = np.stack([dispatch_probability(
-                    p, state.counters, l, phase, sp) for p in profiles])[slots]
+                    p, state.counters, l, phase, cfg.beta, cfg.gamma)
+                    for p in profiles])[slots]
             else:
                 probs = np.ones_like(a)
-            out = sparsify_and_record(a, probs, sp.k, mask_u[l],
+            out = sparsify_and_record(a, probs, state.k, mask_u[l],
                                       counters=state.counters, c=y, layer=l)
             mask = (out != 0.0).astype(np.float64)
             a = a * mask
@@ -235,7 +236,7 @@ def build_batch_tape(state, params, x, y, slots, cfg, phase, profiles,
     penalty = []
     if cfg.param_reg_mode != "off":
         for l in state.target_layers:
-            for prev in prev_adapters:
+            for prev in state.adapters:
                 pd, pu = prev.layers[l]
                 if cfg.param_reg_mode in ("down", "both"):
                     penalty.append((f"wd_{l}", params[f"wd_{l}"] @ pd.T, pd))
@@ -339,7 +340,7 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
             try:
                 tape, loss = build_batch_tape(
                     state, params, task.train_x[idx], task.train_y[idx],
-                    slots[idx], cfg, phase, profiles, state.adapters, mask_u)
+                    slots[idx], cfg, phase, profiles, mask_u)
                 sgd_step(opt, params, backward(tape, params))
                 for name, p in params.items():
                     _check_finite(name, p)

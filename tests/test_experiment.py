@@ -1,6 +1,8 @@
 import json
+import math
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -163,6 +165,46 @@ def test_ablation_grid_rows(tmp_path):
     rows = run_ablation(cfg, str(out))
     assert [r["cell"] for r in rows] == ["baseline", "se_only", "ac_only", "full"]
     assert (out / "ablation.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_failed_ablation_keeps_finished_cells(tmp_path, monkeypatch, capsys):
+    # lambda only weighs the penalty, so the four grid cells run as usual
+    monkeypatch.setenv("SGDS_BASELINE_PARAM_REG_LAMBDA", "1e300")
+    out = tmp_path / "ab"
+    assert main(["ablate", str(quick_config(tmp_path)), "--out", str(out),
+                 "--param-reg"]) == 2
+    assert capsys.readouterr().err.startswith("numeric failure: task 2,")
+    assert (out / "FAILED").read_text() == "cell param_reg_up seed 1993 aborted\n"
+    rows = (out / "ablation.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows] == ["cell", "baseline", "se_only",
+                                               "ac_only", "full"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_good_run_removes_stale_failed_marker(tmp_path, monkeypatch, command):
+    out = tmp_path / "o"
+    argv = [command, str(quick_config(tmp_path)), "--out", str(out)]
+    monkeypatch.setenv("SGDS_TRAIN_WEIGHT_DECAY", "1e200")
+    assert main(argv) == 2
+    assert (out / "FAILED").exists()
+    monkeypatch.delenv("SGDS_TRAIN_WEIGHT_DECAY")
+    assert main(argv) == 0
+    assert not (out / "FAILED").exists()
+
+
+def test_readme_config_table_lists_every_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        lines = f.read().splitlines()
+    start = lines.index("| Key | Default | Minimum | Meaning |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.split("|")[1])
+    assert [k for k in _SCHEMA if not any(f"`{k}`" in r for r in rows)] == []
 
 
 def test_ablation_param_reg_rows(tmp_path):
@@ -383,6 +425,21 @@ def test_cli_eval_rejects_checkpoint_of_another_split(saved_run, monkeypatch,
     assert main(["eval", str(ckpt), str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert "checkpoint classes" in err and "first 3 tasks" in err
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, 1.5, 0.0])
+def test_cli_eval_rejects_bad_k_in_checkpoint(saved_run, tmp_path, capsys, k):
+    cfg_path, ckpt = saved_run
+    bad = tmp_path / "ckpt"
+    shutil.copytree(ckpt, bad)
+    blob = bytearray((bad / "stats.bin").read_bytes())
+    # header: magic, version, class count, dim, layer bitmap, then k
+    assert struct.unpack_from("<d", blob, 28) == (0.6,)
+    struct.pack_into("<d", blob, 28, k)
+    (bad / "stats.bin").write_bytes(bytes(blob))
+    assert main(["eval", str(bad), str(cfg_path)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: sparsity ratio k must be in (0, 1], got {k}\n")
 
 
 def test_cli_rejects_malformed_embedding_file(tmp_path, monkeypatch, capsys):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgds.masking import (ActivationCounters, Phase, SparsifierConfig,
-                          Strategy, allocation_probability,
+from sgds.masking import (ActivationCounters, Phase, Strategy,
+                          allocation_probability,
                           compaction_probability, dispatch_probability,
                           formulate_strategy, relation_distribution,
                           reuse_probability, sparsify_and_record)
@@ -166,35 +166,31 @@ def _profile(strategy, c=0, old=()):
 
 def test_dispatch_exploration_allocation_zero_counters():
     counters = make_counters(classes=(0,))
-    cfg = SparsifierConfig(target_layers=(0,))
     p = dispatch_probability(_profile(Strategy.NEW_SUBSPACE_ALLOCATION),
-                             counters, 0, Phase.EXPLORATION, cfg)
+                             counters, 0, Phase.EXPLORATION, 0.5, 1.0)
     np.testing.assert_array_equal(p, np.ones(6))
 
 
 def test_dispatch_exploration_reuse_zero_counters():
     counters = make_counters(classes=(0, 1))
-    cfg = SparsifierConfig(target_layers=(0,))
     p = dispatch_probability(_profile(Strategy.KNOWLEDGE_REUSE, c=1, old=(0,)),
-                             counters, 0, Phase.EXPLORATION, cfg)
+                             counters, 0, Phase.EXPLORATION, 0.5, 1.0)
     np.testing.assert_array_equal(p, np.zeros(6))
 
 
 def test_dispatch_compaction_delegates():
     counters = make_counters(width=3, classes=(0,))
     counters.f_c[0, 0] = [3, 0, 1]
-    cfg = SparsifierConfig(target_layers=(0,))
     p = dispatch_probability(_profile(Strategy.KNOWLEDGE_REUSE), counters, 0,
-                             Phase.COMPACTION, cfg)
+                             Phase.COMPACTION, 0.5, 1.0)
     np.testing.assert_allclose(p, compaction_probability(counters, 0, 0, 1.0))
 
 
 def test_dispatch_compaction_unknown_class():
     counters = make_counters(classes=(0,))
-    cfg = SparsifierConfig(target_layers=(0,))
     with pytest.raises(ContractViolation):
         dispatch_probability(_profile(Strategy.KNOWLEDGE_REUSE, c=42),
-                             counters, 0, Phase.COMPACTION, cfg)
+                             counters, 0, Phase.COMPACTION, 0.5, 1.0)
 
 
 def test_sparsify_top_k_support():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sgds.masking import Phase, SparsifierConfig
+from sgds.masking import Phase
 from sgds.model import (Adapter, Block, FrozenBackbone, block_forward,
                         extract, layer_bitmap, load_adapter, merge_universal,
                         save_adapter)
@@ -159,13 +159,12 @@ def orthogonality_penalty(cur, previous, mode):
     for m in ("off", mode):
         cfg = TrainConfig(epochs=2, sgds_enabled=False, se_enabled=False,
                           ac_enabled=False, param_reg_mode=m,
-                          param_reg_lambda=1.0,
-                          sparsifier=SparsifierConfig(target_layers=layers))
-        state = ContinualState.create(FrozenBackbone.create(max(layers) + 1, d),
-                                      cfg)
+                          param_reg_lambda=1.0)
+        state = ContinualState(FrozenBackbone.create(max(layers) + 1, d),
+                               layers, 0.6, False, adapters=list(previous))
         losses.append(build_batch_tape(state, params, x, np.array([0, 1]),
                                        np.array([0, 1]), cfg, Phase.EXPLORATION,
-                                       [], previous, {})[1])
+                                       [], {})[1])
     return losses[1] - losses[0]
 
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from sgds.masking import Phase, SparsifierConfig
+from sgds.masking import Phase
 from sgds.model import Adapter, FrozenBackbone
 from sgds.numerics import (ContractViolation, NumericError, OptimizerState,
                            cosine_lr, sgd_step)
@@ -29,8 +29,7 @@ def engine_graph(seed, d, r, layers=1, targets=(0,), masked=False, n_old=0,
     rng = np.random.default_rng(seed)
     cfg = TrainConfig(epochs=2, batch=batch, adapter_rank=r,
                       sgds_enabled=masked, se_enabled=False, ac_enabled=False,
-                      param_reg_mode=reg, param_reg_lambda=0.7,
-                      sparsifier=SparsifierConfig(target_layers=targets))
+                      param_reg_mode=reg, param_reg_lambda=0.7)
     backbone = FrozenBackbone.create(layers, d)
     params = {"head_new": rng.normal(size=(d, n_new))}
     for l in targets:
@@ -44,12 +43,12 @@ def engine_graph(seed, d, r, layers=1, targets=(0,), masked=False, n_old=0,
     mask_u = {l: rng.random((batch, d)) for l in targets}
 
     def loss_fn(p):
-        state = ContinualState.create(backbone, cfg)
-        state.classifier = classifier
+        state = ContinualState(backbone, targets, 0.6, masked, adapters=prev,
+                               classifier=classifier)
         for c in range(n_old + n_new):
             state.counters.ensure_class(c)
         return build_batch_tape(state, p, x, y, y - n_old, cfg,
-                                Phase.EXPLORATION, [], prev, mask_u)
+                                Phase.EXPLORATION, [], mask_u)
 
     return params, loss_fn
 
@@ -78,8 +77,8 @@ def max_rel_error_vs_fd(params, loss_fn, h=1e-5):
 def single_row(logits, label, d=8):
     """Engine tape, loss and params of one row whose logits are ``logits``."""
     cfg = TrainConfig(epochs=2, sgds_enabled=False, se_enabled=False,
-                      ac_enabled=False, sparsifier=SparsifierConfig(target_layers=(0,)))
-    state = ContinualState.create(FrozenBackbone.create(1, d), cfg)
+                      ac_enabled=False)
+    state = ContinualState(FrozenBackbone.create(1, d), (0,), 0.6, False)
     x = np.random.default_rng(0).normal(size=(1, d))
     n = len(logits)
     params = {"head_new": np.zeros((d, n)), "wd_0": np.zeros((d, 2)),
@@ -88,7 +87,7 @@ def single_row(logits, label, d=8):
     def run():
         return build_batch_tape(state, params, x, np.array([label]),
                                 np.array([label]), cfg,
-                                Phase.EXPLORATION, [], [], {})
+                                Phase.EXPLORATION, [], {})
 
     f = run()[0].features[0]
     params["head_new"] = np.outer(f, logits) / (f @ f)

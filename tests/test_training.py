@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from sgds.data import SyntheticSpec, generate_synthetic
 from sgds.inference import embed
-from sgds.masking import Phase, SparsifierConfig
+from sgds.masking import Phase
 from sgds.model import FrozenBackbone
 from sgds.numerics import ContractViolation
 from sgds.rng import TAG_MASK, stream_rng
@@ -13,8 +15,7 @@ from sgds.training import (ContinualState, TrainConfig, _epoch_mask_uniforms,
 
 
 def small_config(**kw):
-    defaults = dict(epochs=4, batch=16, adapter_rank=4, align_samples=64,
-                    sparsifier=SparsifierConfig(target_layers=(1,)))
+    defaults = dict(epochs=4, batch=16, adapter_rank=4, align_samples=64)
     defaults.update(kw)
     return TrainConfig(**defaults)
 
@@ -27,7 +28,8 @@ def small_stream(seed=0, tasks=3):
 
 
 def fresh_state(cfg, dim=16, layers=2):
-    return ContinualState.create(FrozenBackbone.create(layers, dim), cfg)
+    return ContinualState(FrozenBackbone.create(layers, dim), (1,), 0.6,
+                          cfg.sgds_enabled)
 
 
 def test_build_classifier_normalizes():
@@ -192,7 +194,7 @@ def _batch_tape_for(cfg):
     before = state.counters.f.copy()
     tape, _ = build_batch_tape(
         state, params, task.train_x[:8], task.train_y[:8], slots, cfg,
-        Phase.EXPLORATION, profiles, [], {1: np.full((8, 16), 0.5)})
+        Phase.EXPLORATION, profiles, {1: np.full((8, 16), 0.5)})
     return tape, state.counters.f - before
 
 
@@ -210,6 +212,20 @@ def test_enabled_sgds_masks_target_layer():
     assert mask.shape == (8, 16) and 0 < mask.sum() < mask.size
     # every unit the mask keeps is counted once, at the target layer
     np.testing.assert_array_equal(recorded[0], mask.sum(axis=0))
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, 1.5, 0.0, -0.6])
+def test_state_rejects_k_outside_unit_interval(k):
+    with pytest.raises(ContractViolation, match="sparsity ratio k"):
+        ContinualState(FrozenBackbone.create(2, 16), (1,), k, True)
+
+
+def test_state_defaults():
+    state = ContinualState(FrozenBackbone.create(3, 16), (2, 0), 1.0, False)
+    assert state.target_layers == state.counters.target_layers == (0, 2)
+    assert state.classifier.shape == (0, 16)
+    assert state.counters.f.shape == (2, 16) and not state.counters.f.any()
+    assert state.adapters == state.class_ids == []
 
 
 def test_config_needs_two_epochs_for_two_phases():
