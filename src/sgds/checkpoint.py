@@ -8,7 +8,7 @@ import numpy as np
 
 from .model import (BlobReader, FrozenBackbone, layer_bitmap, load_adapter,
                     save_adapter)
-from .numerics import ContractViolation
+from .numerics import ContractViolation, FormatError
 from .training import ContinualState
 
 STATS_MAGIC = b"SGDSSTA1"
@@ -25,7 +25,7 @@ def save_state(dirpath, state: ContinualState) -> None:
     with open(os.path.join(dirpath, "stats.bin"), "wb") as f:
         f.write(STATS_MAGIC)
         f.write(struct.pack("<IIIQdB", STATS_VERSION, len(state.class_ids), d,
-                            bitmap, state.k, int(state.masked_inference)))
+                            bitmap, state.k, int(state.masked)))
         for row, c in enumerate(state.class_ids):
             mean, var = state.class_stats[c]
             f.write(struct.pack("<I", c))
@@ -41,6 +41,9 @@ def load_state(dirpath, backbone: FrozenBackbone) -> ContinualState:
     version, n_classes, d, bitmap, k, masked = r.unpack("<IIIQdB", "header")
     if version != STATS_VERSION:
         raise ContractViolation(f"unsupported stats version {version}")
+    if masked not in (0, 1):
+        raise FormatError(f"{r.name}: masking byte must be 0 or 1, got {masked}",
+                          36)
     if d != backbone.width:
         raise ContractViolation("checkpoint width does not match backbone")
     target_layers = tuple(l for l in range(64) if bitmap & (1 << l))
@@ -57,7 +60,7 @@ def load_state(dirpath, backbone: FrozenBackbone) -> ContinualState:
     r.end()
     state = ContinualState(
         backbone=backbone, target_layers=target_layers, k=k,
-        masked_inference=bool(masked),
+        masked=bool(masked),
         classifier=np.stack(rows) if rows else np.zeros((0, d)),
         class_ids=class_ids, class_stats=class_stats,
     )

@@ -29,7 +29,9 @@ class TaskStream:
 
     def __post_init__(self):
         seen: set[int] = set()
-        for t in self.tasks:
+        for i, t in enumerate(self.tasks, 1):
+            if not len(t.test_y):
+                raise ContractViolation(f"task {i} has no test samples")
             cs = set(t.classes)
             if cs & seen:
                 raise ContractViolation("task class sets must be disjoint")

@@ -4,6 +4,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+import shutil
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -99,6 +101,9 @@ class Config:
         kept = math.floor(v["sgds.k"] * v["model.dim"])
         if kept < 1:
             raise ConfigError(f"floor(sgds.k * model.dim) must be at least 1, got {kept}")
+        for i, s in enumerate(v["run.seeds"]):
+            if s in v["run.seeds"][:i]:
+                raise ConfigError(f"run seed {s} given twice")
         kind = v["dataset.kind"]
         if kind not in ("synthetic", "embeddings"):
             raise ConfigError(f"unknown dataset.kind {kind!r}")
@@ -158,9 +163,8 @@ class Config:
             lr=self.values["train.lr"],
             momentum=self.values["train.momentum"],
             weight_decay=self.values["train.weight_decay"],
-            sgds_enabled=self.values["sgds.enabled"],
-            se_enabled=self.values["sgds.se"],
-            ac_enabled=self.values["sgds.ac"],
+            se_enabled=self.values["sgds.enabled"] and self.values["sgds.se"],
+            ac_enabled=self.values["sgds.enabled"] and self.values["sgds.ac"],
             param_reg_mode=self.values["baseline.param_reg.mode"],
             param_reg_lambda=self.values["baseline.param_reg.lambda"],
             adapter_rank=self.values["adapter.rank"],
@@ -316,6 +320,11 @@ def run_experiment(cfg: Config, out_dir=None) -> list[RunResult]:
     out_dir = cfg["out.dir"] if out_dir is None else out_dir
     streams = {seed: build_stream(cfg, seed) for seed in cfg.seeds}
     os.makedirs(out_dir, exist_ok=True)
+    for name in os.listdir(out_dir):  # an earlier seed list's directories
+        path = os.path.join(out_dir, name)
+        if (re.fullmatch(r"seed_-?\d+", name) and int(name[5:]) not in cfg.seeds
+                and os.path.isdir(path)):
+            shutil.rmtree(path)
     results = []
     for seed in cfg.seeds:
         run_dir = os.path.join(out_dir, f"seed_{seed}")
@@ -358,7 +367,7 @@ def run_experiment(cfg: Config, out_dir=None) -> list[RunResult]:
 
 
 ABLATION_CELLS = (
-    # (name, sgds_enabled, se, ac)
+    # (name, sgds.enabled, sgds.se, sgds.ac)
     ("baseline", False, False, False),
     ("se_only", True, True, False),
     ("ac_only", True, False, True),

@@ -60,8 +60,7 @@ def predict(x: np.ndarray, state) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     *feats, uni_feats = embed(x, state.backbone,
                               [*state.adapters, _universal_adapter(state)],
-                              state.target_layers, state.k,
-                              state.masked_inference)
+                              state.target_layers, state.k, state.masked)
     per_adapter = np.stack([f @ state.classifier.T for f in feats])
     t_star = select_by_entropy(per_adapter)
     total = (per_adapter[t_star, np.arange(x.shape[0])]

@@ -25,7 +25,6 @@ class TrainConfig:
     lr: float = 0.01
     momentum: float = 0.9
     weight_decay: float = 0.0
-    sgds_enabled: bool = True
     se_enabled: bool = True
     ac_enabled: bool = True
     param_reg_mode: str = "off"  # off | up | down | both
@@ -36,8 +35,7 @@ class TrainConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if (self.sgds_enabled and self.se_enabled and self.ac_enabled
-                and self.epochs < 2):
+        if self.se_enabled and self.ac_enabled and self.epochs < 2:
             raise ContractViolation("need >= 2 epochs when both phases enabled")
         if self.param_reg_mode not in ("off", "up", "down", "both"):
             raise ContractViolation(f"bad param_reg mode {self.param_reg_mode!r}")
@@ -52,12 +50,13 @@ class TaskLog:
 
 @dataclass
 class ContinualState:
-    """What a run has learnt, and the only home of ``k`` and the target layers."""
+    """What a run has learnt, and the only home of ``k``, the target layers
+    and the masking switch, which training and inference both read."""
 
     backbone: FrozenBackbone
     target_layers: tuple[int, ...]
     k: float
-    masked_inference: bool
+    masked: bool
     adapters: list[Adapter] = field(default_factory=list)
     classifier: np.ndarray | None = None
     class_ids: list[int] = field(default_factory=list)
@@ -187,7 +186,7 @@ def build_batch_tape(state, params, x, y, slots, cfg, phase, profiles, mask_u):
     the old-class head rows.  ``params`` maps ``head_new`` and
     ``wd_<l>``/``wu_<l>`` per target layer to the arrays ``sgd_step`` updates.
     ``mask_u`` maps each target layer to the batch's ``(B, width)`` mask
-    uniforms; it is read only when SGDS is enabled.  The orthogonality
+    uniforms; it is read only when ``state.masked``.  The orthogonality
     penalty runs against every adapter in ``state.adapters``.
     """
     phase_active = cfg.se_enabled if phase is Phase.EXPLORATION else cfg.ac_enabled
@@ -199,7 +198,7 @@ def build_batch_tape(state, params, x, y, slots, cfg, phase, profiles, mask_u):
             a = a + block.mlp(a)[1]
             continue
         mask = None
-        if target and cfg.sgds_enabled:
+        if target and state.masked:
             # per-class probabilities from the counter state at batch start
             if phase_active:
                 probs = np.stack([dispatch_probability(
@@ -332,7 +331,7 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
         order = stream_rng(run_seed, TAG_SHUFFLE, task_index, epoch).permutation(n)
         epoch_u = (_epoch_mask_uniforms(run_seed, task_index, epoch, n,
                                         cfg.batch, state.target_layers, d)
-                   if cfg.sgds_enabled else {})
+                   if state.masked else {})
         losses = []
         for start in range(0, n, cfg.batch):
             idx = order[start:start + cfg.batch]
@@ -354,7 +353,7 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     # phase 3: statistics, alignment, classifier rebuild
     # the new adapter's features, then the previous adapter's for the drift
     feats = embed(task.train_x, state.backbone, [adapter, *state.adapters[-1:]],
-                  state.target_layers, state.k, state.masked_inference)
+                  state.target_layers, state.k, state.masked)
     new_stats = fit_class_gaussians(
         {c: feats[0][task.train_y == c] for c in task.classes})
     aligned = align_old_prototypes(state, feats[0], feats[-1],

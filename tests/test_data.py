@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sgds.data import (FormatError, SyntheticSpec, compute_prototypes,
                        embeddings_to_stream, generate_class_pool,
                        generate_synthetic, load_embeddings, split_classes,
-                       write_embeddings)
+                       TaskStream, write_embeddings)
 from sgds.numerics import ContractViolation
 
 # frozen output of the pinned generator; guards cross-platform reproducibility
@@ -98,6 +98,16 @@ def test_stream_disjoint_classes():
     for t in stream.tasks:
         assert not (set(t.classes) & seen)
         seen |= set(t.classes)
+
+
+def test_stream_rejects_a_task_without_test_samples():
+    spec = SyntheticSpec(groups=2, classes_per_group=2, dim=8,
+                         samples_per_class_train=3, samples_per_class_test=2)
+    stream = generate_synthetic(spec, 2, spec.seed)
+    second = stream.tasks[1]
+    second.test_x, second.test_y = second.test_x[:0], second.test_y[:0]
+    with pytest.raises(ContractViolation, match="task 2 has no test samples"):
+        TaskStream(stream.tasks, stream.input_dim)
 
 
 def test_low_noise_nearest_prototype_is_perfect():

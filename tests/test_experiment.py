@@ -150,6 +150,22 @@ def test_multi_seed_summary(tmp_path):
     assert (out / "seed_1").exists() and (out / "seed_2").exists()
 
 
+def test_rerun_removes_seed_directories_of_another_seed_list(tmp_path,
+                                                            monkeypatch):
+    cfg_path, out = quick_config(tmp_path), tmp_path / "o"
+    monkeypatch.setenv("SGDS_RUN_SEEDS", "1,2")
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    for name in ("seed_x", "notes"):
+        (out / name).mkdir()
+    (out / "seed_5").write_text("not a run\n")
+    monkeypatch.delenv("SGDS_RUN_SEEDS")
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["notes", "seed_1993", "seed_5",
+                                       "seed_x", "summary.csv"]
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines] == ["seed", "1993"]
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_numeric_failure_writes_marker(tmp_path):
     cfg = parse_config(quick_config(tmp_path, **{"train.weight_decay": "1e200"}))
@@ -284,6 +300,7 @@ BAD_VALUES = [("SGDS_TRAIN_BATCH", "0", "must be at least 1"),
               ("SGDS_SGDS_TARGET_LAYERS", "x",
                "bad sgds.target_layers value 'x'"),
               ("SGDS_SGDS_TARGET_LAYERS", "1,1", "target layer 1 given twice"),
+              ("SGDS_RUN_SEEDS", "1,1", "run seed 1 given twice"),
               ("SGDS_DATASET_NOISE", "0", "noise_sigma must be positive"),
               ("SGDS_DATASET_KIND", "file", "unknown dataset.kind 'file'"),
               ("SGDS_DATASET_KIND", "embeddings",
@@ -337,6 +354,16 @@ def test_one_epoch_is_allowed_with_sgds_off(tmp_path, monkeypatch):
     assert (out / "seed_1993" / "results.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_empty_test_split_fails_before_any_output(tmp_path, monkeypatch,
+                                                  capsys, command):
+    monkeypatch.setenv("SGDS_DATASET_TEST_PER_CLASS", "0")
+    out = tmp_path / "o"
+    assert main([command, str(quick_config(tmp_path)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: task 1 has no test samples\n"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_cli_numeric_error_exit_code(tmp_path, capsys):
     # one batch per epoch: the step of epoch 2 overflows, and that batch is named
@@ -355,6 +382,15 @@ def test_cli_gen_synthetic_round_trip(tmp_path):
     x, y, nc = load_embeddings(out_file)
     assert nc == 6
     assert x.shape == (6 * 30, 16)
+
+
+def test_cli_gen_synthetic_without_test_split(tmp_path, monkeypatch):
+    monkeypatch.setenv("SGDS_DATASET_TEST_PER_CLASS", "0")
+    out_file = tmp_path / "pool.sgdsemb"
+    assert main(["gen-synthetic", str(quick_config(tmp_path)),
+                 str(out_file)]) == 0
+    from sgds.data import load_embeddings
+    assert load_embeddings(out_file)[0].shape == (6 * 20, 16)
 
 
 @pytest.fixture(scope="module")
@@ -442,6 +478,38 @@ def test_cli_eval_rejects_bad_k_in_checkpoint(saved_run, tmp_path, capsys, k):
             == f"error: sparsity ratio k must be in (0, 1], got {k}\n")
 
 
+def patched_masking_byte(ckpt, tmp_path, value):
+    """A copy of ``ckpt`` whose stats.bin masking byte is ``value``."""
+    bad = tmp_path / "ckpt"
+    shutil.copytree(ckpt, bad)
+    blob = bytearray((bad / "stats.bin").read_bytes())
+    # header: magic, version, class count, dim, layer bitmap, k, then the byte
+    assert blob[36] == 1
+    blob[36] = value
+    (bad / "stats.bin").write_bytes(bytes(blob))
+    return bad
+
+
+@pytest.mark.parametrize("value", [2, 7, 255])
+def test_cli_eval_rejects_bad_masking_byte(saved_run, tmp_path, capsys, value):
+    cfg_path, ckpt = saved_run
+    bad = patched_masking_byte(ckpt, tmp_path, value)
+    assert main(["eval", str(bad), str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: stats.bin: masking byte must be 0 or 1, got {value} "
+        "(byte offset 36)\n")
+
+
+@pytest.mark.parametrize("value", [0, 1])
+def test_masking_byte_0_and_1_load(saved_run, tmp_path, capsys, value):
+    from sgds.checkpoint import load_state
+    from sgds.model import FrozenBackbone
+    cfg_path, ckpt = saved_run
+    ok = patched_masking_byte(ckpt, tmp_path, value)
+    assert load_state(ok, FrozenBackbone.create(2, 16)).masked is bool(value)
+    assert main(["eval", str(ok), str(cfg_path)]) == 0
+
+
 def test_cli_rejects_malformed_embedding_file(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.sgdsemb"
     bad.write_bytes(b"garbage")
@@ -473,8 +541,9 @@ def test_cli_rejects_non_finite_embedding(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("env,message", [
     ({"SGDS_DATASET_PATH": "missing.sgdsemb"}, "No such file or directory"),
     ({"SGDS_MODEL_DIM": "32"}, "embedding dim does not match model.dim"),
-    ({"SGDS_TASKS_COUNT": "4"}, "num_classes must be divisible by num_tasks")],
-    ids=["missing-path", "dim-mismatch", "indivisible-classes"])
+    ({"SGDS_TASKS_COUNT": "4"}, "num_classes must be divisible by num_tasks"),
+    ({"SGDS_DATASET_TEST_PER_CLASS": "0"}, "task 1 has no test samples")],
+    ids=["missing-path", "dim-mismatch", "indivisible-classes", "no-test-split"])
 def test_cli_embedding_errors_precede_output(tmp_path, monkeypatch, capsys,
                                             command, env, message):
     from sgds.data import write_embeddings

@@ -18,7 +18,7 @@ def make_state(n_adapters=3, n_classes=4, d=8, seed=0, masked=False):
     rng = np.random.default_rng(seed)
     backbone = FrozenBackbone.create(2, d)
     state = ContinualState(
-        backbone=backbone, target_layers=(1,), k=0.6, masked_inference=masked,
+        backbone=backbone, target_layers=(1,), k=0.6, masked=masked,
         classifier=rng.normal(size=(n_classes, d)),
         class_ids=list(range(n_classes)),
     )
@@ -32,7 +32,7 @@ def make_state(n_adapters=3, n_classes=4, d=8, seed=0, masked=False):
 def adapter_logits(x, state, adapter):
     """One adapter's logits, from a pass of its own."""
     (feats,) = embed(x, state.backbone, [adapter], state.target_layers,
-                     state.k, state.masked_inference)
+                     state.k, state.masked)
     return feats @ state.classifier.T
 
 
@@ -228,7 +228,7 @@ def test_predict_runs_the_frozen_blocks_once(monkeypatch):
     blocks, adapters, d = 4, 5, 8
     state = ContinualState(
         backbone=FrozenBackbone.create(blocks, d), target_layers=(blocks - 1,),
-        k=0.6, masked_inference=True,
+        k=0.6, masked=True,
         classifier=np.random.default_rng(0).normal(size=(3, d)),
         class_ids=[0, 1, 2])
     for t in range(adapters):
@@ -259,7 +259,7 @@ def test_universal_cache_follows_the_adapter_list(tmp_path):
     cfg = small_config()
     stream = small_stream(tasks=3)
     x = np.random.default_rng(2).normal(size=(400, 16))
-    state = fresh_state(cfg)
+    state = fresh_state()
     for task in stream.tasks[:2]:
         train_task(state, task, cfg, run_seed=11)
     predict(x, state)  # merges the two adapters

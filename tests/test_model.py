@@ -157,9 +157,8 @@ def orthogonality_penalty(cur, previous, mode):
         params[f"wd_{l}"], params[f"wu_{l}"] = cur.layers[l]
     losses = []
     for m in ("off", mode):
-        cfg = TrainConfig(epochs=2, sgds_enabled=False, se_enabled=False,
-                          ac_enabled=False, param_reg_mode=m,
-                          param_reg_lambda=1.0)
+        cfg = TrainConfig(epochs=2, se_enabled=False, ac_enabled=False,
+                          param_reg_mode=m, param_reg_lambda=1.0)
         state = ContinualState(FrozenBackbone.create(max(layers) + 1, d),
                                layers, 0.6, False, adapters=list(previous))
         losses.append(build_batch_tape(state, params, x, np.array([0, 1]),

@@ -28,7 +28,7 @@ def engine_graph(seed, d, r, layers=1, targets=(0,), masked=False, n_old=0,
     """
     rng = np.random.default_rng(seed)
     cfg = TrainConfig(epochs=2, batch=batch, adapter_rank=r,
-                      sgds_enabled=masked, se_enabled=False, ac_enabled=False,
+                      se_enabled=False, ac_enabled=False,
                       param_reg_mode=reg, param_reg_lambda=0.7)
     backbone = FrozenBackbone.create(layers, d)
     params = {"head_new": rng.normal(size=(d, n_new))}
@@ -76,8 +76,7 @@ def max_rel_error_vs_fd(params, loss_fn, h=1e-5):
 
 def single_row(logits, label, d=8):
     """Engine tape, loss and params of one row whose logits are ``logits``."""
-    cfg = TrainConfig(epochs=2, sgds_enabled=False, se_enabled=False,
-                      ac_enabled=False)
+    cfg = TrainConfig(epochs=2, se_enabled=False, ac_enabled=False)
     state = ContinualState(FrozenBackbone.create(1, d), (0,), 0.6, False)
     x = np.random.default_rng(0).normal(size=(1, d))
     n = len(logits)
@@ -132,7 +131,7 @@ def test_nonfinite_parameter_raises_naming_it(monkeypatch):
     monkeypatch.setattr(training, "sgd_step", poisoned_step)
     cfg = small_config()
     with pytest.raises(NumericError) as err:
-        train_task(fresh_state(cfg), small_stream().tasks[0], cfg, run_seed=0)
+        train_task(fresh_state(), small_stream().tasks[0], cfg, run_seed=0)
     assert str(err.value) == "task 1, epoch 2, batch 2: non-finite wu_1"
 
 

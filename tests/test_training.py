@@ -27,9 +27,8 @@ def small_stream(seed=0, tasks=3):
     return generate_synthetic(spec, tasks, 1993)
 
 
-def fresh_state(cfg, dim=16, layers=2):
-    return ContinualState(FrozenBackbone.create(layers, dim), (1,), 0.6,
-                          cfg.sgds_enabled)
+def fresh_state(masked=True, dim=16, layers=2):
+    return ContinualState(FrozenBackbone.create(layers, dim), (1,), 0.6, masked)
 
 
 def test_build_classifier_normalizes():
@@ -76,15 +75,14 @@ def test_fit_gaussians_permutation_invariant():
 def trained_state(cfg=None, tasks=2, seed=11):
     cfg = cfg or small_config()
     stream = small_stream(tasks=tasks)
-    state = fresh_state(cfg)
+    state = fresh_state()
     for task in stream.tasks[:tasks]:
         train_task(state, task, cfg, run_seed=seed)
     return state, stream, cfg
 
 
 def test_align_noop_without_previous_adapter():
-    cfg = small_config()
-    state = fresh_state(cfg)
+    state = fresh_state()
     x = np.zeros((1, 16))
     assert align_old_prototypes(state, x, x, 0, 0, 0) == {}
 
@@ -92,7 +90,7 @@ def test_align_noop_without_previous_adapter():
 def last_adapter_features(state, x):
     """``x`` through the newest adapter, as ``train_task`` embeds it."""
     (feats,) = embed(x, state.backbone, state.adapters[-1:],
-                     state.target_layers, state.k, state.masked_inference)
+                     state.target_layers, state.k, state.masked)
     return feats
 
 
@@ -133,7 +131,7 @@ def test_classifier_row_bookkeeping():
 
 def test_phase_accounting():
     cfg = small_config(epochs=7)
-    state = fresh_state(cfg)
+    state = fresh_state()
     train_task(state, small_stream().tasks[0], cfg, run_seed=3)
     phases = state.task_logs[0].epoch_phases
     assert phases.count(Phase.EXPLORATION) == 7 // 2
@@ -143,7 +141,7 @@ def test_phase_accounting():
 def test_old_adapters_and_backbone_immutable():
     cfg = small_config()
     stream = small_stream(tasks=3)
-    state = fresh_state(cfg)
+    state = fresh_state()
     train_task(state, stream.tasks[0], cfg, run_seed=5)
     frozen_adapter = {l: (wd.copy(), wu.copy())
                       for l, (wd, wu) in state.adapters[0].layers.items()}
@@ -159,7 +157,7 @@ def test_loss_decreases_over_training():
     cfg = small_config(epochs=8)
     stream = small_stream(tasks=2)
     for seed in (1, 2):
-        state = fresh_state(cfg)
+        state = fresh_state()
         for task in stream.tasks[:2]:
             train_task(state, task, cfg, run_seed=seed)
         for log in state.task_logs:
@@ -175,10 +173,10 @@ def test_counter_growth_locality():
     assert state.counters.f.sum() > 0
 
 
-def _batch_tape_for(cfg):
+def _batch_tape_for(cfg, masked=True):
     """One batch's tape, and how much it added to the global counters."""
     stream = small_stream(tasks=1)
-    state = fresh_state(cfg)
+    state = fresh_state(masked)
     task = stream.tasks[0]
     params = {"head_new": np.zeros((16, len(task.classes))),
               "wd_1": np.zeros((16, 4)), "wu_1": np.zeros((4, 16))}
@@ -200,7 +198,7 @@ def _batch_tape_for(cfg):
 
 def test_disabling_sgds_removes_mask_ops():
     tape, recorded = _batch_tape_for(small_config(
-        sgds_enabled=False, se_enabled=False, ac_enabled=False))
+        se_enabled=False, ac_enabled=False), masked=False)
     assert [n.mask for n in tape.nodes] == [None]
     assert not recorded.any()
 
@@ -231,8 +229,9 @@ def test_state_defaults():
 def test_config_needs_two_epochs_for_two_phases():
     with pytest.raises(ContractViolation):
         TrainConfig(epochs=1)
-    # with SGDS off no phase is used, so one epoch is enough
-    assert TrainConfig(epochs=1, sgds_enabled=False).epochs == 1
+    # with SGDS off train_config turns both phase gates off, so one epoch
+    # is enough
+    assert TrainConfig(epochs=1, se_enabled=False, ac_enabled=False).epochs == 1
 
 
 def test_param_reg_penalty_increases_loss():
@@ -241,7 +240,7 @@ def test_param_reg_penalty_increases_loss():
     stream = small_stream(tasks=2)
     losses = {}
     for name, cfg in (("off", cfg_off), ("on", cfg_on)):
-        state = fresh_state(cfg)
+        state = fresh_state()
         for task in stream.tasks[:2]:
             train_task(state, task, cfg, run_seed=7)
         losses[name] = state.task_logs[1].epoch_losses[0]
