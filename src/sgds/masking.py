@@ -4,6 +4,9 @@ Probability conventions for zero history (all deliberate):
   * reuse: a class whose counter row is all zero contributes 0 to the sum,
   * allocation: max F == 0 -> probability 1 everywhere (nothing is occupied),
   * compaction: max F_c[c] == 0 -> probability 1 everywhere (unconstrained).
+
+``F_c`` rows follow ``ActivationCounters.class_ids``: a task's classes take
+the next rows in task order, and the formulas take rows, not class ids.
 """
 from __future__ import annotations
 
@@ -45,59 +48,46 @@ class ActivationCounters:
         self._lidx = {l: i for i, l in enumerate(self.target_layers)}
         self.f = np.zeros((len(self.target_layers), width), dtype=np.int64)
         self.class_ids: list[int] = []
-        self._cidx: dict[int, int] = {}
         self.f_c = np.zeros((0, len(self.target_layers), width), dtype=np.int64)
 
-    def ensure_class(self, c: int) -> None:
-        if c not in self._cidx:
-            self._cidx[c] = len(self.class_ids)
-            self.class_ids.append(c)
-            self.f_c = np.concatenate(
-                [self.f_c, np.zeros((1,) + self.f_c.shape[1:], dtype=np.int64)])
+    def add_task(self, classes) -> int:
+        """Give a task's classes the next ``F_c`` rows; returns the first."""
+        if len(set(classes)) != len(classes) or set(classes) & set(self.class_ids):
+            raise ContractViolation(f"classes {classes} repeat or have counter rows")
+        base = len(self.class_ids)
+        self.class_ids.extend(classes)
+        self.f_c = np.pad(self.f_c, ((0, len(classes)), (0, 0), (0, 0)))
+        return base
 
     def layer_row(self, layer: int) -> int:
         if layer not in self._lidx:
             raise ContractViolation(f"layer {layer} is not a target layer")
         return self._lidx[layer]
 
-    def global_row(self, layer: int) -> np.ndarray:
-        return self.f[self.layer_row(layer)]
-
-    def class_row(self, c: int, layer: int) -> np.ndarray:
-        if c not in self._cidx:
-            raise ContractViolation(f"class {c} has no counter row")
-        return self.f_c[self._cidx[c], self.layer_row(layer)]
-
-    def record(self, c: int | np.ndarray, layer: int,
+    def record(self, rows: int | np.ndarray, layer: int,
                support: np.ndarray) -> None:
         """Count selected units: ``support`` is ``(..., width)`` booleans and
-        ``c`` the class of each row (or one class for every row)."""
+        ``rows`` the ``F_c`` row of each support row (or one for all)."""
         li = self.layer_row(layer)
         support = np.asarray(support, dtype=bool)
         if support.shape[-1:] != (self.width,):
             raise ContractViolation(f"support width is not {self.width}")
-        classes = np.broadcast_to(c, support.shape[:-1]).ravel()
-        missing = set(classes.tolist()) - self._cidx.keys()
-        if missing:
-            raise ContractViolation(f"class {min(missing)} has no counter row")
+        rows = np.broadcast_to(rows, support.shape[:-1]).ravel()
+        if rows.size and not 0 <= rows.min() <= rows.max() < len(self.class_ids):
+            raise ContractViolation("a counter row was never handed out")
         hits = support.reshape(-1, self.width).astype(np.int64)
         self.f[li] += hits.sum(axis=0)
-        # add.at, not fancy-index +=, so repeated classes all count
-        np.add.at(self.f_c[:, li], [self._cidx[v] for v in classes.tolist()],
-                  hits)
+        # add.at, not fancy-index +=, so repeated rows all count
+        np.add.at(self.f_c[:, li], rows, hits)
 
     def dump_csv(self, path) -> None:
         """Textual dump: layer, unit, F, then one F_c column per seen class."""
         with open(path, "w") as f:
-            cols = ",".join(f"c{c}" for c in self.class_ids)
-            f.write("layer,unit,F" + ("," + cols if cols else "") + "\n")
-            for l in self.target_layers:
-                li = self._lidx[l]
+            f.write(",".join(["layer,unit,F", *(f"c{c}" for c in self.class_ids)]) + "\n")
+            for li, l in enumerate(self.target_layers):
                 for j in range(self.width):
-                    per_class = ",".join(str(self.f_c[self._cidx[c], li, j])
-                                         for c in self.class_ids)
-                    f.write(f"{l},{j},{self.f[li, j]}"
-                            + ("," + per_class if per_class else "") + "\n")
+                    cells = [l, j, self.f[li, j], *self.f_c[:, li, j]]
+                    f.write(",".join(map(str, cells)) + "\n")
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -131,48 +121,53 @@ def formulate_strategy(c: int, relation: dict[int, float],
                            s_old, s_new, strategy)
 
 
-def reuse_probability(counters: ActivationCounters,
-                      relation_old: dict[int, float], layer: int) -> np.ndarray:
-    """1 - exp(-Σ_y P(y|c) · F_c[y,l,:]/max F_c[y,l,:]), zero rows contribute 0."""
-    acc = np.zeros(counters.width)
-    for y, p in relation_old.items():
-        row = counters.class_row(y, layer).astype(np.float64)
+def reuse_probability(counts: np.ndarray, weights) -> np.ndarray:
+    """1 - exp(-Σ_y P(y|c) · F_c[y]/max F_c[y]) over the old classes' rows
+    ``counts`` and their weights ``P(y|c)``; zero rows contribute 0."""
+    if len(weights) != len(counts):
+        raise ContractViolation("reuse needs one weight per counter row")
+    acc = np.zeros(np.shape(counts)[-1])
+    for p, row in zip(weights, counts):
+        row = row.astype(np.float64)
         mx = row.max()
         if mx > 0:
             acc += p * row / mx
     return 1.0 - np.exp(-acc)
 
 
-def allocation_probability(counters: ActivationCounters, layer: int,
-                           beta: float) -> np.ndarray:
-    """exp(-β · F[l,:]/max F[l,:]); fully available (1) with no history."""
-    row = counters.global_row(layer).astype(np.float64)
+def allocation_probability(counts: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-β · F/max F) of the global row ``counts``; 1 with no history."""
+    row = np.asarray(counts, dtype=np.float64)
     mx = row.max()
     if mx == 0:
-        return np.ones(counters.width)
+        return np.ones(row.shape)
     return np.exp(-beta * row / mx)
 
 
-def compaction_probability(counters: ActivationCounters, c: int, layer: int,
-                           gamma: float) -> np.ndarray:
-    """1 - exp(-γ · F_c[c,l,:]/max F_c[c,l,:]); unconstrained with no history."""
-    row = counters.class_row(c, layer).astype(np.float64)
-    mx = row.max()
-    if mx == 0:
-        return np.ones(counters.width)
-    return 1.0 - np.exp(-gamma * row / mx)
+def compaction_probability(counts: np.ndarray, gamma: float) -> np.ndarray:
+    """1 - exp(-γ · F_c/max F_c) per row of ``counts``; 1 in a row with no history."""
+    rows = np.asarray(counts, dtype=np.float64)
+    mx = rows.max(axis=-1, keepdims=True)
+    p = 1.0 - np.exp(-gamma * rows / np.where(mx == 0, 1.0, mx))
+    return np.where(mx == 0, 1.0, p)
 
 
-def dispatch_probability(profile: SemanticProfile, counters: ActivationCounters,
-                         layer: int, phase: Phase, beta: float,
-                         gamma: float) -> np.ndarray:
-    """Route to the phase/strategy-appropriate probability formula."""
+def dispatch_probability(counters: ActivationCounters, layer: int,
+                         phase: Phase, base: int, reuse: dict[int, np.ndarray],
+                         beta: float, gamma: float) -> np.ndarray:
+    """The ``(C, width)`` table of the task whose ``F_c`` rows start at
+    ``base``, one row per task slot: own ``F_c`` rows in compaction, else
+    ``reuse``'s vectors (by slot) and the allocation row for the rest."""
+    if not 0 <= base < len(counters.class_ids):
+        raise ContractViolation(f"counter row {base} was never handed out")
+    li = counters.layer_row(layer)
     if phase is Phase.COMPACTION:
-        return compaction_probability(counters, profile.class_id, layer, gamma)
-    if profile.strategy is Strategy.KNOWLEDGE_REUSE:
-        relation_old = {y: profile.relation[y] for y in profile.old_classes}
-        return reuse_probability(counters, relation_old, layer)
-    return allocation_probability(counters, layer, beta)
+        return compaction_probability(counters.f_c[base:, li], gamma)
+    table = np.tile(allocation_probability(counters.f[li], beta),
+                    (len(counters.class_ids) - base, 1))
+    for s, p in reuse.items():
+        table[s] = p
+    return table
 
 
 def top_k_mask(a: np.ndarray, k: float) -> np.ndarray:
@@ -191,12 +186,12 @@ def top_k_mask(a: np.ndarray, k: float) -> np.ndarray:
 def sparsify_and_record(x: np.ndarray, p: np.ndarray, k: float,
                         u: np.ndarray,
                         counters: ActivationCounters | None = None,
-                        c: int | np.ndarray | None = None,
+                        rows: int | np.ndarray | None = None,
                         layer: int | None = None) -> np.ndarray:
     """Bernoulli mask ``u < p``, then magnitude Top-K per row; optionally count.
 
     ``x``, ``p`` and the pre-drawn uniforms ``u`` share one shape, ``(N,)``
-    or ``(B, N)``; ``c`` is the class of each row.  The final support is the
+    or ``(B, N)``; ``rows`` is the ``F_c`` row of each row.  The final support is the
     set of coordinates that survive both stages and are nonzero; only those
     are counted, into ``counters`` when given.
     """
@@ -207,7 +202,7 @@ def sparsify_and_record(x: np.ndarray, p: np.ndarray, k: float,
     a = x * (u < p)
     out = a * top_k_mask(a, k)
     if counters is not None:
-        if c is None or layer is None:
-            raise ContractViolation("recording requires a class and a layer")
-        counters.record(c, layer, out != 0.0)
+        if rows is None or layer is None:
+            raise ContractViolation("recording requires counter rows and a layer")
+        counters.record(rows, layer, out != 0.0)
     return out

@@ -7,9 +7,9 @@ import numpy as np
 
 from .data import compute_prototypes
 from .inference import embed
-from .masking import (ActivationCounters, Phase, SemanticProfile,
-                      dispatch_probability, formulate_strategy,
-                      relation_distribution, sparsify_and_record)
+from .masking import (ActivationCounters, Phase, SemanticProfile, Strategy,
+                      dispatch_probability, formulate_strategy, relation_distribution,
+                      reuse_probability, sparsify_and_record)
 from .model import Adapter, Block, FrozenBackbone, adapter_term
 from .numerics import (ContractViolation, NumericError, OptimizerState,
                        sgd_step)
@@ -178,12 +178,13 @@ def _check_finite(name: str, value) -> None:
         raise NumericError(f"non-finite {name}")
 
 
-def build_batch_tape(state, params, x, y, slots, cfg, phase, profiles, mask_u):
+def build_batch_tape(state, params, x, slots, cfg, phase, base, reuse, mask_u):
     """Forward pass of one batch; returns (tape, loss).
 
-    ``y`` holds each row's class and ``slots`` its index in the task's class
-    list, which ``profiles`` follows; the row's logit column is its slot after
-    the old-class head rows.  ``params`` maps ``head_new`` and
+    ``slots`` holds each row's index in the task's class list; the row's
+    logit column is its slot after the old-class head rows, and its ``F_c``
+    row is ``base + slot``.  ``reuse`` maps each target layer to the task's
+    reuse vectors by slot.  ``params`` maps ``head_new`` and
     ``wd_<l>``/``wu_<l>`` per target layer to the arrays ``sgd_step`` updates.
     ``mask_u`` maps each target layer to the batch's ``(B, width)`` mask
     uniforms; it is read only when ``state.masked``.  The orthogonality
@@ -199,15 +200,14 @@ def build_batch_tape(state, params, x, y, slots, cfg, phase, profiles, mask_u):
             continue
         mask = None
         if target and state.masked:
-            # per-class probabilities from the counter state at batch start
+            # the task's probability table from the counters at batch start
             if phase_active:
-                probs = np.stack([dispatch_probability(
-                    p, state.counters, l, phase, cfg.beta, cfg.gamma)
-                    for p in profiles])[slots]
+                probs = dispatch_probability(state.counters, l, phase, base,
+                                             reuse[l], cfg.beta, cfg.gamma)[slots]
             else:
                 probs = np.ones_like(a)
             out = sparsify_and_record(a, probs, state.k, mask_u[l],
-                                      counters=state.counters, c=y, layer=l)
+                                      state.counters, base + slots, l)
             mask = (out != 0.0).astype(np.float64)
             a = a * mask
         pre, mlp_out = block.mlp(a)
@@ -308,8 +308,13 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     profiles = [formulate_strategy(c, relation_distribution(c, pool), old,
                                    task.classes) for c in task.classes]
 
-    for c in task.classes:
-        state.counters.ensure_class(c)
+    base = state.counters.add_task(task.classes)
+    # only current-task rows are recorded, so reuse vectors hold for the task
+    reuse = {l: {s: reuse_probability(state.counters.f_c[:base, li],
+                                      [p.relation[y] for y in old])
+                 for s, p in enumerate(profiles)
+                 if p.strategy is Strategy.KNOWLEDGE_REUSE}
+             for li, l in enumerate(state.counters.target_layers)}
 
     # phase 2: adapter + new-head training
     adapter = Adapter.create(task_index, d, cfg.adapter_rank,
@@ -338,8 +343,8 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
             mask_u = {l: u[start:start + cfg.batch] for l, u in epoch_u.items()}
             try:
                 tape, loss = build_batch_tape(
-                    state, params, task.train_x[idx], task.train_y[idx],
-                    slots[idx], cfg, phase, profiles, mask_u)
+                    state, params, task.train_x[idx], slots[idx], cfg, phase,
+                    base, reuse, mask_u)
                 sgd_step(opt, params, backward(tape, params))
                 for name, p in params.items():
                     _check_finite(name, p)

@@ -99,9 +99,9 @@ def test_01_sparsification_probability_formulas(verdict):
         n = int(rng.integers(1, 17))
         n_classes = int(rng.integers(1, 5))
         counters = ActivationCounters((0,), n)
+        counters.add_task(range(n_classes))
         rows = []
         for c in range(n_classes):
-            counters.ensure_class(c)
             row = rng.integers(0, 40, size=n)
             if rng.random() < 0.2:
                 row[:] = 0  # zero history must contribute nothing
@@ -112,27 +112,29 @@ def test_01_sparsification_probability_formulas(verdict):
         probs /= probs.sum()
         relation = {c: float(probs[c]) for c in range(n_classes)}
         beta, gamma = float(rng.uniform(0.1, 3)), float(rng.uniform(0.1, 3))
-        got_r = reuse_probability(counters, relation, 0)
-        got_a = allocation_probability(counters, 0, beta)
-        got_c = compaction_probability(counters, 0, 0, gamma)
+        got_r = reuse_probability(counters.f_c[:, 0],
+                                  [relation[c] for c in range(n_classes)])
+        got_a = allocation_probability(counters.f[0], beta)
+        got_c = compaction_probability(counters.f_c[:, 0], gamma)
         exp_r = _oracle_reuse([(relation[c], list(map(int, counters.f_c[c, 0])))
                                for c in range(n_classes)], n)
         exp_a = _oracle_alloc(list(map(int, counters.f[0])), beta)
-        exp_c = _oracle_compact(list(map(int, counters.f_c[0, 0])), gamma)
+        exp_c = [_oracle_compact(list(map(int, counters.f_c[c, 0])), gamma)
+                 for c in range(n_classes)]
         for got, exp in ((got_r, exp_r), (got_a, exp_a), (got_c, exp_c)):
             worst = max(worst, float(np.max(np.abs(got - np.array(exp)))))
     elapsed = time.perf_counter() - t0
 
     # tabulated fixed points of the formulas
     c2 = ActivationCounters((0,), 2)
-    c2.ensure_class(0)
+    c2.add_task((0,))
     c2.f_c[0, 0] = [5, 5]
     c2.f[0] = [5, 5]
     fixed_ok = (
-        abs(allocation_probability(c2, 0, 0.5)[0] - 0.60653065971263342) < 1e-12
-        and abs(reuse_probability(c2, {0: 0.5}, 0)[0]
+        abs(allocation_probability(c2.f[0], 0.5)[0] - 0.60653065971263342) < 1e-12
+        and abs(reuse_probability(c2.f_c[:, 0], [0.5])[0]
                 - 0.39346934028736658) < 1e-12
-        and abs(compaction_probability(c2, 0, 0, 1.0)[0]
+        and abs(compaction_probability(c2.f_c[0, 0], 1.0)[0]
                 - 0.63212055882855767) < 1e-12)
 
     verdict(1, "usage-driven probabilities match a pure-python oracle "
@@ -178,8 +180,7 @@ def test_03_counter_consistency_under_load(verdict):
     rng = np.random.default_rng(13)
     n, layers, classes = 8, (0, 1), range(5)
     counters = ActivationCounters(layers, n)
-    for c in classes:
-        counters.ensure_class(c)
+    counters.add_task(classes)
     ok = True
     prev_f = counters.f.copy()
     prev_fc = counters.f_c.copy()
@@ -188,8 +189,8 @@ def test_03_counter_consistency_under_load(verdict):
         layer = int(rng.choice(layers))
         x = rng.normal(size=n)
         p = rng.random(n)
-        sparsify_and_record(x, p, 0.6, rng.random(n), counters=counters, c=c,
-                            layer=layer)
+        sparsify_and_record(x, p, 0.6, rng.random(n), counters=counters,
+                            rows=c, layer=layer)
         if i % 500 == 0:
             if not np.array_equal(counters.f, counters.f_c.sum(axis=0)):
                 ok = False

@@ -16,8 +16,7 @@ from sgds.rng import stream_rng
 
 def make_counters(width=6, layers=(0,), classes=()):
     c = ActivationCounters(layers, width)
-    for y in classes:
-        c.ensure_class(y)
+    c.add_task(classes)
     return c
 
 
@@ -77,15 +76,17 @@ def test_strategy_partition_law():
 
 def test_reuse_probability_zero_counters():
     counters = make_counters(classes=(0, 1))
-    p = reuse_probability(counters, {0: 0.5, 1: 0.5}, 0)
+    p = reuse_probability(counters.f_c[:, 0], [0.5, 0.5])
     np.testing.assert_array_equal(p, np.zeros(6))
+    with pytest.raises(ContractViolation):  # a row without its weight
+        reuse_probability(counters.f_c[:, 0], [1.0])
 
 
 def test_reuse_probability_example():
     counters = make_counters(width=3, classes=(0, 1))
     counters.f_c[0, 0] = [4, 0, 0]   # class 0: unit 0 normalized usage 1
     counters.f_c[1, 0] = [0, 5, 0]   # class 1: unit 1 only
-    p = reuse_probability(counters, {0: 0.5, 1: 0.5}, 0)
+    p = reuse_probability(counters.f_c[:, 0], [0.5, 0.5])
     assert p[0] == pytest.approx(1 - math.exp(-0.5), abs=1e-12)
     assert p[2] == 0.0
 
@@ -96,22 +97,21 @@ def test_reuse_probability_upper_bound():
         counters = make_counters(width=4, classes=(0, 1, 2))
         counters.f_c = rng.integers(0, 9, size=counters.f_c.shape)
         w = rng.random(3)
-        rel = dict(zip(range(3), w / w.sum()))
-        p = reuse_probability(counters, rel, 0)
+        p = reuse_probability(counters.f_c[:, 0], list(w / w.sum()))
         assert np.all(p <= 1 - math.exp(-1) + 1e-12)
         assert np.all(p >= 0)
 
 
 def test_allocation_probability_no_history():
     counters = make_counters()
-    np.testing.assert_array_equal(allocation_probability(counters, 0, 0.5),
+    np.testing.assert_array_equal(allocation_probability(counters.f[0], 0.5),
                                   np.ones(6))
 
 
 def test_allocation_probability_example():
     counters = make_counters(width=3)
     counters.f[0] = [4, 2, 0]
-    p = allocation_probability(counters, 0, 0.5)
+    p = allocation_probability(counters.f[0], 0.5)
     np.testing.assert_allclose(p, [math.exp(-0.5), math.exp(-0.25), 1.0],
                                atol=1e-12)
 
@@ -120,14 +120,14 @@ def test_allocation_most_used_unit_smallest():
     rng = np.random.default_rng(3)
     counters = make_counters(width=8)
     counters.f[0] = rng.integers(0, 20, size=8)
-    p = allocation_probability(counters, 0, 0.5)
+    p = allocation_probability(counters.f[0], 0.5)
     assert p[counters.f[0].argmax()] == p.min()
 
 
 def test_compaction_probability_example():
     counters = make_counters(width=3, classes=(7,))
     counters.f_c[0, 0] = [3, 0, 1]
-    p = compaction_probability(counters, 7, 0, 1.0)
+    p = compaction_probability(counters.f_c[0, 0], 1.0)
     np.testing.assert_allclose(
         p, [1 - math.exp(-1.0), 0.0, 1 - math.exp(-1 / 3)], atol=1e-12)
     assert p[0] == pytest.approx(0.632121, abs=1e-6)
@@ -137,7 +137,7 @@ def test_compaction_probability_example():
 def test_compaction_max_unit_has_largest_probability():
     counters = make_counters(width=5, classes=(0,))
     counters.f_c[0, 0] = [1, 9, 2, 0, 4]
-    p = compaction_probability(counters, 0, 0, 1.0)
+    p = compaction_probability(counters.f_c[0, 0], 1.0)
     assert p.argmax() == 1
     assert p[1] == pytest.approx(1 - math.exp(-1.0), abs=1e-12)
 
@@ -145,7 +145,7 @@ def test_compaction_max_unit_has_largest_probability():
 def test_compaction_large_gamma_limit():
     counters = make_counters(width=4, classes=(0,))
     counters.f_c[0, 0] = [5, 0, 1, 0]
-    p = compaction_probability(counters, 0, 0, 1e6)
+    p = compaction_probability(counters.f_c[0, 0], 1e6)
     used = counters.f_c[0, 0] > 0
     assert np.all(p[used] > 1 - 1e-9)
     assert np.all(p[~used] == 0.0)
@@ -154,43 +154,74 @@ def test_compaction_large_gamma_limit():
 def test_compaction_no_history_convention():
     counters = make_counters(classes=(0,))
     np.testing.assert_array_equal(
-        compaction_probability(counters, 0, 0, 1.0), np.ones(6))
-
-
-def _profile(strategy, c=0, old=()):
-    rel = {y: 0.0 for y in old}
-    rel[c] = 1.0
-    from sgds.masking import SemanticProfile
-    return SemanticProfile(c, rel, tuple(old), 0.0, 1.0, strategy)
+        compaction_probability(counters.f_c[0, 0], 1.0), np.ones(6))
+    # rows at once: a row with no history stays unconstrained beside others
+    rows = np.array([[0, 0, 0], [3, 0, 1]])
+    np.testing.assert_array_equal(compaction_probability(rows, 1.0),
+                                  [[1.0, 1.0, 1.0],
+                                   compaction_probability(rows[1], 1.0)])
 
 
 def test_dispatch_exploration_allocation_zero_counters():
     counters = make_counters(classes=(0,))
-    p = dispatch_probability(_profile(Strategy.NEW_SUBSPACE_ALLOCATION),
-                             counters, 0, Phase.EXPLORATION, 0.5, 1.0)
-    np.testing.assert_array_equal(p, np.ones(6))
+    p = dispatch_probability(counters, 0, Phase.EXPLORATION, 0, {}, 0.5, 1.0)
+    np.testing.assert_array_equal(p, np.ones((1, 6)))
 
 
 def test_dispatch_exploration_reuse_zero_counters():
-    counters = make_counters(classes=(0, 1))
-    p = dispatch_probability(_profile(Strategy.KNOWLEDGE_REUSE, c=1, old=(0,)),
-                             counters, 0, Phase.EXPLORATION, 0.5, 1.0)
-    np.testing.assert_array_equal(p, np.zeros(6))
+    counters = make_counters(classes=(0,))
+    base = counters.add_task((1,))
+    reuse = {0: reuse_probability(counters.f_c[:base, 0], [0.0])}
+    p = dispatch_probability(counters, 0, Phase.EXPLORATION, base, reuse,
+                             0.5, 1.0)
+    np.testing.assert_array_equal(p, np.zeros((1, 6)))
 
 
 def test_dispatch_compaction_delegates():
     counters = make_counters(width=3, classes=(0,))
     counters.f_c[0, 0] = [3, 0, 1]
-    p = dispatch_probability(_profile(Strategy.KNOWLEDGE_REUSE), counters, 0,
-                             Phase.COMPACTION, 0.5, 1.0)
-    np.testing.assert_allclose(p, compaction_probability(counters, 0, 0, 1.0))
+    p = dispatch_probability(counters, 0, Phase.COMPACTION, 0, {}, 0.5, 1.0)
+    np.testing.assert_allclose(p, [compaction_probability(counters.f_c[0, 0],
+                                                          1.0)])
 
 
 def test_dispatch_compaction_unknown_class():
+    # a task whose first counter row was never handed out
     counters = make_counters(classes=(0,))
-    with pytest.raises(ContractViolation):
-        dispatch_probability(_profile(Strategy.KNOWLEDGE_REUSE, c=42),
-                             counters, 0, Phase.COMPACTION, 0.5, 1.0)
+    for base in (-1, 1):
+        with pytest.raises(ContractViolation):
+            dispatch_probability(counters, 0, Phase.COMPACTION, base, {},
+                                 0.5, 1.0)
+
+
+def test_dispatch_table_matches_scalar_oracles_slot_by_slot():
+    from test_acceptance import _oracle_alloc, _oracle_compact, _oracle_reuse
+    rng = np.random.default_rng(41)
+    width, layers, beta, gamma = 7, (1, 3), 0.7, 1.3
+    counters = make_counters(width=width, layers=layers, classes=(5, 2, 9))
+    base = counters.add_task((4, 0, 8, 1))
+    counters.f_c[:] = rng.integers(0, 30, size=counters.f_c.shape)
+    counters.f_c[1] = 0  # an old class with no history
+    counters.f_c[base + 2] = 0  # a current class with no history
+    counters.f[:] = counters.f_c.sum(axis=0)
+    weights = {0: [0.5, 0.1, 0.2], 3: [0.2, 0.3, 0.4]}  # slots 1, 2 allocate
+    for li, l in enumerate(layers):
+        old = counters.f_c[:base, li].tolist()
+        reuse = {s: reuse_probability(counters.f_c[:base, li], w)
+                 for s, w in weights.items()}
+        for phase in Phase:
+            table = dispatch_probability(counters, l, phase, base, reuse,
+                                         beta, gamma)
+            assert table.shape == (4, width)
+            for s in range(4):
+                if phase is Phase.COMPACTION:
+                    exp = _oracle_compact(counters.f_c[base + s, li].tolist(),
+                                          gamma)
+                elif s in weights:
+                    exp = _oracle_reuse(list(zip(weights[s], old)), width)
+                else:
+                    exp = _oracle_alloc(counters.f[li].tolist(), beta)
+                np.testing.assert_allclose(table[s], exp, rtol=0, atol=1e-12)
 
 
 def test_sparsify_top_k_support():
@@ -213,7 +244,7 @@ def test_sparsify_identity_and_recording():
     counters = make_counters(width=4, classes=(3,))
     x = np.array([1.0, 0.0, -2.0, 3.0])
     out = sparsify_and_record(x, np.ones(4), 1.0, stream_rng(2).random(4),
-                              counters, 3, 0)
+                              counters, 0, 0)
     np.testing.assert_array_equal(out, x)
     np.testing.assert_array_equal(counters.f[0], [1, 0, 1, 1])
     np.testing.assert_array_equal(counters.f_c[0, 0], [1, 0, 1, 1])
@@ -273,8 +304,8 @@ def test_bernoulli_statistical_sanity():
 
 def test_counters_csv_dump(tmp_path):
     counters = make_counters(width=2, layers=(1,), classes=(4, 9))
-    counters.record(4, 1, np.array([True, False]))
-    counters.record(9, 1, np.array([True, True]))
+    counters.record(0, 1, np.array([True, False]))
+    counters.record(1, 1, np.array([True, True]))
     path = tmp_path / "counters.csv"
     counters.dump_csv(path)
     lines = path.read_text().splitlines()
@@ -283,7 +314,7 @@ def test_counters_csv_dump(tmp_path):
     assert lines[2] == "1,1,1,0,1"
 
 
-def _per_row_reference(x, p, u, k, classes, counters, layer):
+def _per_row_reference(x, p, u, k, rows, counters, layer):
     """Brute-force per-row sparsifier with element-by-element counting."""
     cap = math.floor(k * x.shape[1])
     out = np.zeros_like(x)
@@ -292,10 +323,9 @@ def _per_row_reference(x, p, u, k, classes, counters, layer):
         a = x[i] * (u[i] < p[i])
         keep = sorted(range(x.shape[1]), key=lambda j: (-abs(a[j]), j))[:cap]
         out[i, keep] = a[keep]
-        ci = counters.class_ids.index(classes[i])
         for j in np.flatnonzero(out[i]):
             counters.f[li, j] += 1
-            counters.f_c[ci, li, j] += 1
+            counters.f_c[rows[i], li, j] += 1
     return out
 
 
@@ -311,11 +341,11 @@ def test_batched_sparsify_and_record_matches_per_row_loop():
         p[rng.random(b) < 0.25] = 0.0
         u = rng.random((b, n))
         k = (1.0, 1.0 / n + 1e-9, float(rng.uniform(1.0 / n + 1e-9, 1.0)))[trial % 3]
-        classes = rng.choice([3, 5, 8], size=b)  # classes repeat in a batch
+        rows = rng.choice([0, 1, 2], size=b)  # rows repeat in a batch
         got_c = make_counters(width=n, layers=(0, 2), classes=(3, 5, 8))
         ref_c = make_counters(width=n, layers=(0, 2), classes=(3, 5, 8))
-        got = sparsify_and_record(x, p, k, u, got_c, classes, 2)
-        exp = _per_row_reference(x, p, u, k, classes, ref_c, 2)
+        got = sparsify_and_record(x, p, k, u, got_c, rows, 2)
+        exp = _per_row_reference(x, p, u, k, rows, ref_c, 2)
         np.testing.assert_array_equal(got, exp)
         np.testing.assert_array_equal(got != 0, exp != 0)
         np.testing.assert_array_equal(got_c.f, ref_c.f)
@@ -325,19 +355,33 @@ def test_batched_sparsify_and_record_matches_per_row_loop():
 def test_record_counts_every_repeated_class_row():
     counters = make_counters(width=3, classes=(1, 2))
     support = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 1]], dtype=bool)
-    counters.record(np.array([1, 1, 2]), 0, support)
+    counters.record(np.array([0, 0, 1]), 0, support)
     np.testing.assert_array_equal(counters.f[0], [2, 2, 1])
     np.testing.assert_array_equal(counters.f_c[0, 0], [2, 1, 0])
     np.testing.assert_array_equal(counters.f_c[1, 0], [0, 1, 1])
 
 
 def test_record_rejects_unknown_class_or_wrong_width():
-    counters = make_counters(width=2, classes=(1,))
-    with pytest.raises(ContractViolation):
-        counters.record(np.array([1, 7]), 0, np.ones((2, 2), dtype=bool))
+    counters = make_counters(width=2, classes=(1, 7))
+    for bad in (-1, len(counters.class_ids)):  # rows never handed out
+        with pytest.raises(ContractViolation):
+            counters.record(np.array([0, bad]), 0, np.ones((2, 2), dtype=bool))
     with pytest.raises(ContractViolation):
         counters.record(np.array([1]), 0, np.ones((1, 4), dtype=bool))
     assert counters.f.sum() == 0
+    counters.record(1, 0, np.array([True, False]))  # one 1-D support row
+    np.testing.assert_array_equal(counters.f_c[:, 0], [[0, 0], [1, 0]])
+
+
+def test_add_task_hands_out_rows_in_order_and_rejects_repeats():
+    counters = make_counters(width=2, classes=(4, 9))
+    assert counters.add_task((1, 0)) == 2
+    assert counters.class_ids == [4, 9, 1, 0]
+    assert counters.f_c.shape == (4, 1, 2)
+    for classes in ((9, 3), (3, 3)):  # a class with a row, one given twice
+        with pytest.raises(ContractViolation):
+            counters.add_task(classes)
+    assert counters.class_ids == [4, 9, 1, 0]
 
 
 def test_sparsify_rejects_mismatched_uniforms():

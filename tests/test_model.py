@@ -162,8 +162,7 @@ def orthogonality_penalty(cur, previous, mode):
         state = ContinualState(FrozenBackbone.create(max(layers) + 1, d),
                                layers, 0.6, False, adapters=list(previous))
         losses.append(build_batch_tape(state, params, x, np.array([0, 1]),
-                                       np.array([0, 1]), cfg, Phase.EXPLORATION,
-                                       [], {})[1])
+                                       cfg, Phase.EXPLORATION, 0, {}, {})[1])
     return losses[1] - losses[0]
 
 

@@ -45,10 +45,10 @@ def engine_graph(seed, d, r, layers=1, targets=(0,), masked=False, n_old=0,
     def loss_fn(p):
         state = ContinualState(backbone, targets, 0.6, masked, adapters=prev,
                                classifier=classifier)
-        for c in range(n_old + n_new):
-            state.counters.ensure_class(c)
-        return build_batch_tape(state, p, x, y, y - n_old, cfg,
-                                Phase.EXPLORATION, [], mask_u)
+        state.counters.add_task(range(n_old))
+        base = state.counters.add_task(range(n_old, n_old + n_new))
+        return build_batch_tape(state, p, x, y - n_old, cfg,
+                                Phase.EXPLORATION, base, {}, mask_u)
 
     return params, loss_fn
 
@@ -84,9 +84,8 @@ def single_row(logits, label, d=8):
               "wu_0": np.zeros((2, d))}
 
     def run():
-        return build_batch_tape(state, params, x, np.array([label]),
-                                np.array([label]), cfg,
-                                Phase.EXPLORATION, [], {})
+        return build_batch_tape(state, params, x, np.array([label]), cfg,
+                                Phase.EXPLORATION, 0, {}, {})
 
     f = run()[0].features[0]
     params["head_new"] = np.outer(f, logits) / (f @ f)

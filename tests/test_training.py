@@ -5,7 +5,7 @@ import pytest
 
 from sgds.data import SyntheticSpec, generate_synthetic
 from sgds.inference import embed
-from sgds.masking import Phase
+from sgds.masking import Phase, Strategy
 from sgds.model import FrozenBackbone
 from sgds.numerics import ContractViolation
 from sgds.rng import TAG_MASK, stream_rng
@@ -167,10 +167,24 @@ def test_loss_decreases_over_training():
 def test_counter_growth_locality():
     state, stream, _ = trained_state(tasks=2)
     seen = {c for t in stream.tasks[:2] for c in t.classes}
+    # one F_c row per seen class, in the state's class order
+    assert state.counters.class_ids == state.class_ids
     assert set(state.counters.class_ids) == seen
     # only the target layer row exists, and it accumulated history
     assert state.counters.f.shape[0] == 1
     assert state.counters.f.sum() > 0
+
+
+def test_old_class_counter_rows_never_change_during_a_task():
+    # train_task computes the reuse vectors from these rows once per task
+    cfg = small_config()
+    state = fresh_state()
+    for task in small_stream(tasks=3).tasks:
+        old = state.counters.f_c.copy()
+        train_task(state, task, cfg, run_seed=3)
+        assert state.counters.f_c[:len(old)].tobytes() == old.tobytes()
+    assert any(p.strategy is Strategy.KNOWLEDGE_REUSE
+               for log in state.task_logs for p in log.profiles)
 
 
 def _batch_tape_for(cfg, masked=True):
@@ -180,19 +194,13 @@ def _batch_tape_for(cfg, masked=True):
     task = stream.tasks[0]
     params = {"head_new": np.zeros((16, len(task.classes))),
               "wd_1": np.zeros((16, 4)), "wu_1": np.zeros((4, 16))}
-    for c in task.classes:
-        state.counters.ensure_class(c)
-    from sgds.masking import formulate_strategy, relation_distribution
-    from sgds.data import compute_prototypes
-    protos = compute_prototypes(task.train_x, task.train_y)
-    profiles = [formulate_strategy(c, relation_distribution(c, protos),
-                                   (), task.classes)
-                for c in task.classes]
+    base = state.counters.add_task(task.classes)
     slots = np.array([task.classes.index(c) for c in task.train_y[:8]])
     before = state.counters.f.copy()
+    # a first task has no old classes, so every class allocates: no reuse
     tape, _ = build_batch_tape(
-        state, params, task.train_x[:8], task.train_y[:8], slots, cfg,
-        Phase.EXPLORATION, profiles, {1: np.full((8, 16), 0.5)})
+        state, params, task.train_x[:8], slots, cfg, Phase.EXPLORATION,
+        base, {1: {}}, {1: np.full((8, 16), 0.5)})
     return tape, state.counters.f - before
 
 
