@@ -10,7 +10,6 @@ the gemv path and a larger one gemm, and the two round differently.
 ``python tests/test_sweep.py --pin`` rewrites ``tests/sweep_goldens.json``.
 A change that needs it has changed behaviour, not performance.
 """
-import hashlib
 import json
 import os
 import sys
@@ -19,10 +18,12 @@ import tempfile
 import pytest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(os.path.dirname(HERE), "src")
-if SRC not in sys.path:
-    sys.path.insert(0, SRC)
+REPO = os.path.dirname(HERE)
+for path in (REPO, os.path.join(REPO, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
 
+from perfbench.workloads import sha256_dir, sha256_file  # noqa: E402
 from sgds.experiment import parse_config, run_experiment  # noqa: E402
 
 GOLDENS_PATH = os.path.join(HERE, "sweep_goldens.json")
@@ -59,27 +60,13 @@ CELLS = {
 }
 
 
-def _sha256(path) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
-
-
-def _sha256_dir(path) -> str:
-    """Digest of every file name and its bytes, in name order."""
-    h = hashlib.sha256()
-    for name in sorted(os.listdir(path)):
-        h.update(name.encode() + b"\0" + bytes.fromhex(
-            _sha256(os.path.join(path, name))))
-    return h.hexdigest()
-
-
 def cell_hashes(name: str, out_dir: str) -> dict:
     """Run one cell into ``out_dir`` and hash what it wrote."""
     cfg = parse_config(overrides={**BASE, **CELLS[name]})
     run_experiment(cfg, out_dir)
     run_dir = os.path.join(out_dir, f"seed_{cfg.seeds[0]}")
-    hashes = {f: _sha256(os.path.join(run_dir, f)) for f in FILES}
-    hashes["checkpoint"] = _sha256_dir(os.path.join(run_dir, "checkpoint"))
+    hashes = {f: sha256_file(os.path.join(run_dir, f)) for f in FILES}
+    hashes["checkpoint"] = sha256_dir(os.path.join(run_dir, "checkpoint"))
     return hashes
 
 
