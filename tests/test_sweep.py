@@ -3,13 +3,18 @@ computes in any of these cells fails here.
 
 Every cell is criterion 9's tiny config on a 4-layer backbone with a few
 overrides.  Its pin is the sha256 of ``results.csv``, ``strategy.csv``,
-``counters.csv`` and the checkpoint directory.  The hashes depend on the
+``counters.csv``, the checkpoint directory and the stdout of ``sgds eval``
+on that checkpoint.  The ``embeddings`` cell trains on the base config's
+pool written by ``sgds gen-synthetic``.  The hashes depend on the
 host's BLAS build, as ``perfbench/goldens.json`` does: a 1-row batch takes
 the gemv path and a larger one gemm, and the two round differently.
 
 ``python tests/test_sweep.py --pin`` rewrites ``tests/sweep_goldens.json``.
 A change that needs it has changed behaviour, not performance.
 """
+import contextlib
+import hashlib
+import io
 import json
 import os
 import sys
@@ -24,6 +29,7 @@ for path in (REPO, os.path.join(REPO, "src")):
         sys.path.insert(0, path)
 
 from perfbench.workloads import sha256_dir, sha256_file  # noqa: E402
+from sgds.cli import main  # noqa: E402
 from sgds.experiment import parse_config, run_experiment  # noqa: E402
 
 GOLDENS_PATH = os.path.join(HERE, "sweep_goldens.json")
@@ -57,16 +63,43 @@ CELLS = {
     # 8 of the 12 classes take knowledge reuse
     "six-tasks": {"tasks.count": "6", "dataset.classes_per_group": "6",
                   "train.epochs": "6"},
+    # the pool file's path is filled in per run
+    "embeddings": {"dataset.kind": "embeddings"},
 }
+
+
+def _sgds(*argv) -> str:
+    """Run the ``sgds`` command line in-process; returns its stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+def _write_config(path, values: dict) -> str:
+    with open(path, "w") as f:
+        f.writelines(f"{k}={v}\n" for k, v in values.items())
+    return path
 
 
 def cell_hashes(name: str, out_dir: str) -> dict:
     """Run one cell into ``out_dir`` and hash what it wrote."""
-    cfg = parse_config(overrides={**BASE, **CELLS[name]})
-    run_experiment(cfg, out_dir)
-    run_dir = os.path.join(out_dir, f"seed_{cfg.seeds[0]}")
+    os.makedirs(out_dir, exist_ok=True)
+    values = {**BASE, **CELLS[name]}
+    if values.get("dataset.kind") == "embeddings":
+        pool = os.path.join(out_dir, "pool.sgdsemb")
+        _sgds("gen-synthetic", _write_config(
+            os.path.join(out_dir, "base.cfg"), BASE), pool)
+        values["dataset.path"] = pool
+    cfg = parse_config(overrides=values)
+    run_experiment(cfg, os.path.join(out_dir, "run"))
+    run_dir = os.path.join(out_dir, "run", f"seed_{cfg.seeds[0]}")
     hashes = {f: sha256_file(os.path.join(run_dir, f)) for f in FILES}
-    hashes["checkpoint"] = sha256_dir(os.path.join(run_dir, "checkpoint"))
+    checkpoint = os.path.join(run_dir, "checkpoint")
+    hashes["checkpoint"] = sha256_dir(checkpoint)
+    stdout = _sgds("eval", checkpoint, _write_config(
+        os.path.join(out_dir, "cell.cfg"), values))
+    hashes["eval"] = hashlib.sha256(stdout.encode()).hexdigest()
     return hashes
 
 
