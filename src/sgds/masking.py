@@ -5,8 +5,9 @@ Probability conventions for zero history (all deliberate):
   * allocation: max F == 0 -> probability 1 everywhere (nothing is occupied),
   * compaction: max F_c[c] == 0 -> probability 1 everywhere (unconstrained).
 
-``F_c`` rows follow ``ActivationCounters.class_ids``: a task's classes take
-the next rows in task order, and the formulas take rows, not class ids.
+``F_c`` is one ``(classes, width)`` array per target layer, its rows in
+``ActivationCounters.class_ids`` order (a task's classes take the next rows),
+and a layer's global count ``F`` is its column sum.  Formulas take rows.
 """
 from __future__ import annotations
 
@@ -33,22 +34,18 @@ class Phase(Enum):
 class SemanticProfile:
     class_id: int
     relation: dict[int, float]  # P(y|c) over old ∪ current classes
-    old_classes: tuple[int, ...]
     s_old: float
     s_new: float
     strategy: Strategy
 
 
 class ActivationCounters:
-    """Global (F) and per-class (F_c) selection counts per target layer unit."""
+    """Per-class selection counts ``F_c``, one array per target layer."""
 
     def __init__(self, target_layers: tuple[int, ...], width: int):
-        self.target_layers = tuple(sorted(target_layers))
-        self.width = width
-        self._lidx = {l: i for i, l in enumerate(self.target_layers)}
-        self.f = np.zeros((len(self.target_layers), width), dtype=np.int64)
         self.class_ids: list[int] = []
-        self.f_c = np.zeros((0, len(self.target_layers), width), dtype=np.int64)
+        self.f_c = {l: np.zeros((0, width), dtype=np.int64)
+                    for l in sorted(target_layers)}
 
     def add_task(self, classes) -> int:
         """Give a task's classes the next ``F_c`` rows; returns the first."""
@@ -56,38 +53,36 @@ class ActivationCounters:
             raise ContractViolation(f"classes {classes} repeat or have counter rows")
         base = len(self.class_ids)
         self.class_ids.extend(classes)
-        self.f_c = np.pad(self.f_c, ((0, len(classes)), (0, 0), (0, 0)))
+        self.f_c = {l: np.pad(f_c, ((0, len(classes)), (0, 0)))
+                    for l, f_c in self.f_c.items()}
         return base
 
-    def layer_row(self, layer: int) -> int:
-        if layer not in self._lidx:
+    def layer(self, layer: int) -> np.ndarray:
+        if layer not in self.f_c:
             raise ContractViolation(f"layer {layer} is not a target layer")
-        return self._lidx[layer]
+        return self.f_c[layer]
 
     def record(self, rows: int | np.ndarray, layer: int,
                support: np.ndarray) -> None:
         """Count selected units: ``support`` is ``(..., width)`` booleans and
         ``rows`` the ``F_c`` row of each support row (or one for all)."""
-        li = self.layer_row(layer)
+        f_c = self.layer(layer)
         support = np.asarray(support, dtype=bool)
-        if support.shape[-1:] != (self.width,):
-            raise ContractViolation(f"support width is not {self.width}")
+        if support.shape[-1:] != f_c.shape[1:]:
+            raise ContractViolation(f"support width is not {f_c.shape[1]}")
         rows = np.broadcast_to(rows, support.shape[:-1]).ravel()
         if rows.size and not 0 <= rows.min() <= rows.max() < len(self.class_ids):
             raise ContractViolation("a counter row was never handed out")
-        hits = support.reshape(-1, self.width).astype(np.int64)
-        self.f[li] += hits.sum(axis=0)
         # add.at, not fancy-index +=, so repeated rows all count
-        np.add.at(self.f_c[:, li], rows, hits)
+        np.add.at(f_c, rows, support.reshape(-1, f_c.shape[1]).astype(np.int64))
 
     def dump_csv(self, path) -> None:
         """Textual dump: layer, unit, F, then one F_c column per seen class."""
         with open(path, "w") as f:
             f.write(",".join(["layer,unit,F", *(f"c{c}" for c in self.class_ids)]) + "\n")
-            for li, l in enumerate(self.target_layers):
-                for j in range(self.width):
-                    cells = [l, j, self.f[li, j], *self.f_c[:, li, j]]
-                    f.write(",".join(map(str, cells)) + "\n")
+            for l, f_c in self.f_c.items():
+                for j, total in enumerate(f_c.sum(axis=0)):
+                    f.write(",".join(map(str, [l, j, total, *f_c[:, j]])) + "\n")
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -111,14 +106,13 @@ def relation_distribution(c: int, prototypes: dict[int, np.ndarray]) -> dict[int
 
 
 def formulate_strategy(c: int, relation: dict[int, float],
-                       old_classes, new_classes) -> SemanticProfile:
-    """Sum relation mass over old vs current classes; reuse iff S_old > S_new."""
-    s_old = sum(relation[y] for y in old_classes)
-    s_new = sum(relation[y] for y in new_classes)
+                       old, new) -> SemanticProfile:
+    """Sum relation mass over the old vs current classes; reuse iff S_old > S_new."""
+    s_old = sum(relation[y] for y in old)
+    s_new = sum(relation[y] for y in new)
     strategy = (Strategy.KNOWLEDGE_REUSE if s_old > s_new
                 else Strategy.NEW_SUBSPACE_ALLOCATION)
-    return SemanticProfile(c, dict(relation), tuple(old_classes),
-                           s_old, s_new, strategy)
+    return SemanticProfile(c, dict(relation), s_old, s_new, strategy)
 
 
 def reuse_probability(counts: np.ndarray, weights) -> np.ndarray:
@@ -160,11 +154,11 @@ def dispatch_probability(counters: ActivationCounters, layer: int,
     ``reuse``'s vectors (by slot) and the allocation row for the rest."""
     if not 0 <= base < len(counters.class_ids):
         raise ContractViolation(f"counter row {base} was never handed out")
-    li = counters.layer_row(layer)
+    f_c = counters.layer(layer)
     if phase is Phase.COMPACTION:
-        return compaction_probability(counters.f_c[base:, li], gamma)
-    table = np.tile(allocation_probability(counters.f[li], beta),
-                    (len(counters.class_ids) - base, 1))
+        return compaction_probability(f_c[base:], gamma)
+    table = np.tile(allocation_probability(f_c.sum(axis=0), beta),
+                    (len(f_c) - base, 1))
     for s, p in reuse.items():
         table[s] = p
     return table

@@ -52,9 +52,7 @@ def sgd_step(state: OptimizerState, params: dict, grads: dict) -> dict:
     """v <- m*v + g; p <- p - lr*v.  Updates params in place, returns them."""
     lr = state.lr
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
+        g = grads[name]
         if np.shape(g) != np.shape(p):
             raise ContractViolation(f"shape mismatch for parameter {name!r}")
         if state.weight_decay:

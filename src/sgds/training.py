@@ -293,6 +293,11 @@ def backward(tape: BatchTape, params: dict) -> dict:
 def train_task(state: ContinualState, task, cfg: TrainConfig,
                run_seed: int) -> ContinualState:
     """Train one task's adapter and head rows; updates state in place."""
+    if (state.counters.class_ids != state.class_ids
+            or set(state.frozen_prototypes) != set(state.class_ids)):
+        raise ContractViolation(
+            "the state's counters or frozen prototypes do not match its classes: "
+            "a loaded checkpoint can be scored but not trained until resume exists")
     if set(task.classes) & set(state.class_ids):
         raise ContractViolation("task classes overlap previously seen classes")
     task_index = len(state.adapters)
@@ -310,11 +315,10 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
 
     base = state.counters.add_task(task.classes)
     # only current-task rows are recorded, so reuse vectors hold for the task
-    reuse = {l: {s: reuse_probability(state.counters.f_c[:base, li],
-                                      [p.relation[y] for y in old])
+    reuse = {l: {s: reuse_probability(f_c[:base], [p.relation[y] for y in old])
                  for s, p in enumerate(profiles)
                  if p.strategy is Strategy.KNOWLEDGE_REUSE}
-             for li, l in enumerate(state.counters.target_layers)}
+             for l, f_c in state.counters.f_c.items()}
 
     # phase 2: adapter + new-head training
     adapter = Adapter.create(task_index, d, cfg.adapter_rank,

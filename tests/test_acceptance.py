@@ -105,21 +105,22 @@ def test_01_sparsification_probability_formulas(verdict):
             row = rng.integers(0, 40, size=n)
             if rng.random() < 0.2:
                 row[:] = 0  # zero history must contribute nothing
-            counters.f_c[c, 0] = row
+            counters.f_c[0][c] = row
             rows.append(row)
-        counters.f[0] = counters.f_c.sum(axis=0)[0]
         probs = rng.random(n_classes)
         probs /= probs.sum()
         relation = {c: float(probs[c]) for c in range(n_classes)}
         beta, gamma = float(rng.uniform(0.1, 3)), float(rng.uniform(0.1, 3))
-        got_r = reuse_probability(counters.f_c[:, 0],
+        got_r = reuse_probability(counters.f_c[0],
                                   [relation[c] for c in range(n_classes)])
-        got_a = allocation_probability(counters.f[0], beta)
-        got_c = compaction_probability(counters.f_c[:, 0], gamma)
-        exp_r = _oracle_reuse([(relation[c], list(map(int, counters.f_c[c, 0])))
+        got_a = allocation_probability(counters.f_c[0].sum(axis=0), beta)
+        got_c = compaction_probability(counters.f_c[0], gamma)
+        exp_r = _oracle_reuse([(relation[c], list(map(int, counters.f_c[0][c])))
                                for c in range(n_classes)], n)
-        exp_a = _oracle_alloc(list(map(int, counters.f[0])), beta)
-        exp_c = [_oracle_compact(list(map(int, counters.f_c[c, 0])), gamma)
+        # the oracle's F: the per-class rows summed in plain Python
+        exp_a = _oracle_alloc([sum(int(r[j]) for r in rows) for j in range(n)],
+                              beta)
+        exp_c = [_oracle_compact(list(map(int, counters.f_c[0][c])), gamma)
                  for c in range(n_classes)]
         for got, exp in ((got_r, exp_r), (got_a, exp_a), (got_c, exp_c)):
             worst = max(worst, float(np.max(np.abs(got - np.array(exp)))))
@@ -128,13 +129,13 @@ def test_01_sparsification_probability_formulas(verdict):
     # tabulated fixed points of the formulas
     c2 = ActivationCounters((0,), 2)
     c2.add_task((0,))
-    c2.f_c[0, 0] = [5, 5]
-    c2.f[0] = [5, 5]
+    c2.f_c[0][0] = [5, 5]
     fixed_ok = (
-        abs(allocation_probability(c2.f[0], 0.5)[0] - 0.60653065971263342) < 1e-12
-        and abs(reuse_probability(c2.f_c[:, 0], [0.5])[0]
+        abs(allocation_probability(c2.f_c[0].sum(axis=0), 0.5)[0]
+            - 0.60653065971263342) < 1e-12
+        and abs(reuse_probability(c2.f_c[0], [0.5])[0]
                 - 0.39346934028736658) < 1e-12
-        and abs(compaction_probability(c2.f_c[0, 0], 1.0)[0]
+        and abs(compaction_probability(c2.f_c[0][0], 1.0)[0]
                 - 0.63212055882855767) < 1e-12)
 
     verdict(1, "usage-driven probabilities match a pure-python oracle "
@@ -182,25 +183,33 @@ def test_03_counter_consistency_under_load(verdict):
     counters = ActivationCounters(layers, n)
     counters.add_task(classes)
     ok = True
-    prev_f = counters.f.copy()
-    prev_fc = counters.f_c.copy()
+    # F is the per-class sum by construction; check both against a tally
+    # of the selected units kept outside the counters
+    tally_f = {l: np.zeros(n, dtype=np.int64) for l in layers}
+    tally_fc = {l: np.zeros((len(classes), n), dtype=np.int64) for l in layers}
+    prev_fc = {l: f_c.copy() for l, f_c in counters.f_c.items()}
     for i in range(10000):
         c = int(rng.integers(0, 5))
         layer = int(rng.choice(layers))
         x = rng.normal(size=n)
         p = rng.random(n)
-        sparsify_and_record(x, p, 0.6, rng.random(n), counters=counters,
-                            rows=c, layer=layer)
+        out = sparsify_and_record(x, p, 0.6, rng.random(n), counters=counters,
+                                  rows=c, layer=layer)
+        tally_f[layer] += out != 0
+        tally_fc[layer][c] += out != 0
         if i % 500 == 0:
-            if not np.array_equal(counters.f, counters.f_c.sum(axis=0)):
+            if not all(np.array_equal(counters.f_c[l].sum(axis=0), tally_f[l])
+                       and np.array_equal(counters.f_c[l], tally_fc[l])
+                       for l in layers):
                 ok = False
                 break
-            if (counters.f < prev_f).any() or (counters.f_c < prev_fc).any():
+            if any((counters.f_c[l] < prev_fc[l]).any() for l in layers):
                 ok = False
                 break
-            prev_f = counters.f.copy()
-            prev_fc = counters.f_c.copy()
-    ok = ok and np.array_equal(counters.f, counters.f_c.sum(axis=0))
+            prev_fc = {l: f_c.copy() for l, f_c in counters.f_c.items()}
+    ok = ok and all(np.array_equal(counters.f_c[l].sum(axis=0), tally_f[l])
+                    and np.array_equal(counters.f_c[l], tally_fc[l])
+                    for l in layers)
     verdict(3, "global counters stay the per-class sum and never decrease "
             "across 10000 recorded sparsifications", ok)
 

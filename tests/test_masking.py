@@ -76,17 +76,17 @@ def test_strategy_partition_law():
 
 def test_reuse_probability_zero_counters():
     counters = make_counters(classes=(0, 1))
-    p = reuse_probability(counters.f_c[:, 0], [0.5, 0.5])
+    p = reuse_probability(counters.f_c[0], [0.5, 0.5])
     np.testing.assert_array_equal(p, np.zeros(6))
     with pytest.raises(ContractViolation):  # a row without its weight
-        reuse_probability(counters.f_c[:, 0], [1.0])
+        reuse_probability(counters.f_c[0], [1.0])
 
 
 def test_reuse_probability_example():
     counters = make_counters(width=3, classes=(0, 1))
-    counters.f_c[0, 0] = [4, 0, 0]   # class 0: unit 0 normalized usage 1
-    counters.f_c[1, 0] = [0, 5, 0]   # class 1: unit 1 only
-    p = reuse_probability(counters.f_c[:, 0], [0.5, 0.5])
+    counters.f_c[0][0] = [4, 0, 0]   # class 0: unit 0 normalized usage 1
+    counters.f_c[0][1] = [0, 5, 0]   # class 1: unit 1 only
+    p = reuse_probability(counters.f_c[0], [0.5, 0.5])
     assert p[0] == pytest.approx(1 - math.exp(-0.5), abs=1e-12)
     assert p[2] == 0.0
 
@@ -95,39 +95,54 @@ def test_reuse_probability_upper_bound():
     rng = np.random.default_rng(2)
     for _ in range(100):
         counters = make_counters(width=4, classes=(0, 1, 2))
-        counters.f_c = rng.integers(0, 9, size=counters.f_c.shape)
+        counters.f_c[0][:] = rng.integers(0, 9, size=counters.f_c[0].shape)
         w = rng.random(3)
-        p = reuse_probability(counters.f_c[:, 0], list(w / w.sum()))
+        p = reuse_probability(counters.f_c[0], list(w / w.sum()))
         assert np.all(p <= 1 - math.exp(-1) + 1e-12)
         assert np.all(p >= 0)
 
 
+def test_reuse_probability_sums_rows_in_class_order():
+    # bit for bit: the same terms summed in another order round differently
+    rng = np.random.default_rng(53)
+    for _ in range(500):
+        n_rows, width = int(rng.integers(1, 7)), int(rng.integers(1, 10))
+        counts = rng.integers(0, 50, size=(n_rows, width))
+        counts[rng.random(n_rows) < 0.2] = 0  # rows with no history
+        weights = rng.random(n_rows).tolist()
+        acc = [0.0] * width
+        for p, row in zip(weights, counts.tolist()):  # F_c rows in order
+            for j in range(width):
+                if max(row) > 0:
+                    acc[j] += p * row[j] / max(row)
+        # the same vectorized exp on both sides, so only the sums are compared
+        exp = 1.0 - np.exp(-np.array(acc))
+        assert reuse_probability(counts, weights).tobytes() == exp.tobytes()
+
+
 def test_allocation_probability_no_history():
-    counters = make_counters()
-    np.testing.assert_array_equal(allocation_probability(counters.f[0], 0.5),
-                                  np.ones(6))
+    counters = make_counters()  # F of a fresh layer: the sum of no F_c rows
+    np.testing.assert_array_equal(
+        allocation_probability(counters.f_c[0].sum(axis=0), 0.5), np.ones(6))
 
 
 def test_allocation_probability_example():
-    counters = make_counters(width=3)
-    counters.f[0] = [4, 2, 0]
-    p = allocation_probability(counters.f[0], 0.5)
+    p = allocation_probability(np.array([4, 2, 0]), 0.5)
     np.testing.assert_allclose(p, [math.exp(-0.5), math.exp(-0.25), 1.0],
                                atol=1e-12)
 
 
 def test_allocation_most_used_unit_smallest():
     rng = np.random.default_rng(3)
-    counters = make_counters(width=8)
-    counters.f[0] = rng.integers(0, 20, size=8)
-    p = allocation_probability(counters.f[0], 0.5)
-    assert p[counters.f[0].argmax()] == p.min()
+    f = rng.integers(0, 20, size=8)
+    p = allocation_probability(f, 0.5)
+    assert p[f.argmax()] == p.min()
 
 
 def test_compaction_probability_example():
     counters = make_counters(width=3, classes=(7,))
-    counters.f_c[0, 0] = [3, 0, 1]
-    p = compaction_probability(counters.f_c[0, 0], 1.0)
+    counters.f_c[0][0] = [3, 0, 1]
+    p = compaction_probability(counters.f_c[0][0], 1.0)
     np.testing.assert_allclose(
         p, [1 - math.exp(-1.0), 0.0, 1 - math.exp(-1 / 3)], atol=1e-12)
     assert p[0] == pytest.approx(0.632121, abs=1e-6)
@@ -136,17 +151,17 @@ def test_compaction_probability_example():
 
 def test_compaction_max_unit_has_largest_probability():
     counters = make_counters(width=5, classes=(0,))
-    counters.f_c[0, 0] = [1, 9, 2, 0, 4]
-    p = compaction_probability(counters.f_c[0, 0], 1.0)
+    counters.f_c[0][0] = [1, 9, 2, 0, 4]
+    p = compaction_probability(counters.f_c[0][0], 1.0)
     assert p.argmax() == 1
     assert p[1] == pytest.approx(1 - math.exp(-1.0), abs=1e-12)
 
 
 def test_compaction_large_gamma_limit():
     counters = make_counters(width=4, classes=(0,))
-    counters.f_c[0, 0] = [5, 0, 1, 0]
-    p = compaction_probability(counters.f_c[0, 0], 1e6)
-    used = counters.f_c[0, 0] > 0
+    counters.f_c[0][0] = [5, 0, 1, 0]
+    p = compaction_probability(counters.f_c[0][0], 1e6)
+    used = counters.f_c[0][0] > 0
     assert np.all(p[used] > 1 - 1e-9)
     assert np.all(p[~used] == 0.0)
 
@@ -154,7 +169,7 @@ def test_compaction_large_gamma_limit():
 def test_compaction_no_history_convention():
     counters = make_counters(classes=(0,))
     np.testing.assert_array_equal(
-        compaction_probability(counters.f_c[0, 0], 1.0), np.ones(6))
+        compaction_probability(counters.f_c[0][0], 1.0), np.ones(6))
     # rows at once: a row with no history stays unconstrained beside others
     rows = np.array([[0, 0, 0], [3, 0, 1]])
     np.testing.assert_array_equal(compaction_probability(rows, 1.0),
@@ -171,7 +186,7 @@ def test_dispatch_exploration_allocation_zero_counters():
 def test_dispatch_exploration_reuse_zero_counters():
     counters = make_counters(classes=(0,))
     base = counters.add_task((1,))
-    reuse = {0: reuse_probability(counters.f_c[:base, 0], [0.0])}
+    reuse = {0: reuse_probability(counters.f_c[0][:base], [0.0])}
     p = dispatch_probability(counters, 0, Phase.EXPLORATION, base, reuse,
                              0.5, 1.0)
     np.testing.assert_array_equal(p, np.zeros((1, 6)))
@@ -179,9 +194,9 @@ def test_dispatch_exploration_reuse_zero_counters():
 
 def test_dispatch_compaction_delegates():
     counters = make_counters(width=3, classes=(0,))
-    counters.f_c[0, 0] = [3, 0, 1]
+    counters.f_c[0][0] = [3, 0, 1]
     p = dispatch_probability(counters, 0, Phase.COMPACTION, 0, {}, 0.5, 1.0)
-    np.testing.assert_allclose(p, [compaction_probability(counters.f_c[0, 0],
+    np.testing.assert_allclose(p, [compaction_probability(counters.f_c[0][0],
                                                           1.0)])
 
 
@@ -200,14 +215,15 @@ def test_dispatch_table_matches_scalar_oracles_slot_by_slot():
     width, layers, beta, gamma = 7, (1, 3), 0.7, 1.3
     counters = make_counters(width=width, layers=layers, classes=(5, 2, 9))
     base = counters.add_task((4, 0, 8, 1))
-    counters.f_c[:] = rng.integers(0, 30, size=counters.f_c.shape)
-    counters.f_c[1] = 0  # an old class with no history
-    counters.f_c[base + 2] = 0  # a current class with no history
-    counters.f[:] = counters.f_c.sum(axis=0)
+    f_c = rng.integers(0, 30, size=(7, len(layers), width))
+    f_c[1] = 0  # an old class with no history
+    f_c[base + 2] = 0  # a current class with no history
+    for li, l in enumerate(layers):
+        counters.f_c[l][:] = f_c[:, li]
     weights = {0: [0.5, 0.1, 0.2], 3: [0.2, 0.3, 0.4]}  # slots 1, 2 allocate
     for li, l in enumerate(layers):
-        old = counters.f_c[:base, li].tolist()
-        reuse = {s: reuse_probability(counters.f_c[:base, li], w)
+        old = f_c[:base, li].tolist()
+        reuse = {s: reuse_probability(counters.f_c[l][:base], w)
                  for s, w in weights.items()}
         for phase in Phase:
             table = dispatch_probability(counters, l, phase, base, reuse,
@@ -215,12 +231,11 @@ def test_dispatch_table_matches_scalar_oracles_slot_by_slot():
             assert table.shape == (4, width)
             for s in range(4):
                 if phase is Phase.COMPACTION:
-                    exp = _oracle_compact(counters.f_c[base + s, li].tolist(),
-                                          gamma)
+                    exp = _oracle_compact(f_c[base + s, li].tolist(), gamma)
                 elif s in weights:
                     exp = _oracle_reuse(list(zip(weights[s], old)), width)
                 else:
-                    exp = _oracle_alloc(counters.f[li].tolist(), beta)
+                    exp = _oracle_alloc(f_c[:, li].sum(axis=0).tolist(), beta)
                 np.testing.assert_allclose(table[s], exp, rtol=0, atol=1e-12)
 
 
@@ -237,7 +252,7 @@ def test_sparsify_zero_probability():
     out = sparsify_and_record(np.ones(4), np.zeros(4), 1.0, stream_rng(1).random(4),
                               counters, 0, 0)
     np.testing.assert_array_equal(out, np.zeros(4))
-    assert counters.f.sum() == 0
+    assert counters.f_c[0].sum() == 0
 
 
 def test_sparsify_identity_and_recording():
@@ -246,8 +261,8 @@ def test_sparsify_identity_and_recording():
     out = sparsify_and_record(x, np.ones(4), 1.0, stream_rng(2).random(4),
                               counters, 0, 0)
     np.testing.assert_array_equal(out, x)
-    np.testing.assert_array_equal(counters.f[0], [1, 0, 1, 1])
-    np.testing.assert_array_equal(counters.f_c[0, 0], [1, 0, 1, 1])
+    np.testing.assert_array_equal(counters.f_c[0].sum(axis=0), [1, 0, 1, 1])
+    np.testing.assert_array_equal(counters.f_c[0][0], [1, 0, 1, 1])
 
 
 def test_sparsify_records_only_with_class_and_layer():
@@ -256,7 +271,7 @@ def test_sparsify_records_only_with_class_and_layer():
         with pytest.raises(ContractViolation):
             sparsify_and_record(np.ones(4), np.ones(4), 1.0,
                                 stream_rng(4).random(4), counters, c, layer)
-    assert counters.f.sum() == 0
+    assert counters.f_c[0].sum() == 0
 
 
 def test_sparsify_rejects_degenerate_k():
@@ -279,16 +294,16 @@ def test_sparsity_bound_property(n, k, seed):
 def test_counter_consistency_after_random_trace():
     rng = np.random.default_rng(9)
     counters = make_counters(width=12, layers=(0, 2), classes=(0, 1, 2))
-    prev_f = counters.f.copy()
+    prev = {l: f_c.copy() for l, f_c in counters.f_c.items()}
     for i in range(500):
         c = int(rng.integers(0, 3))
         layer = int(rng.choice([0, 2]))
         x = rng.normal(size=12)
         sparsify_and_record(x, rng.random(12), 0.5, stream_rng(100 + i).random(12),
                             counters, c, layer)
-        assert np.all(counters.f >= prev_f)
-        prev_f = counters.f.copy()
-        np.testing.assert_array_equal(counters.f, counters.f_c.sum(axis=0))
+        for l, f_c in counters.f_c.items():
+            assert np.all(f_c >= prev[l])
+        prev = {l: f_c.copy() for l, f_c in counters.f_c.items()}
 
 
 def test_bernoulli_statistical_sanity():
@@ -318,14 +333,13 @@ def _per_row_reference(x, p, u, k, rows, counters, layer):
     """Brute-force per-row sparsifier with element-by-element counting."""
     cap = math.floor(k * x.shape[1])
     out = np.zeros_like(x)
-    li = counters.layer_row(layer)
+    f_c = counters.layer(layer)
     for i in range(x.shape[0]):
         a = x[i] * (u[i] < p[i])
         keep = sorted(range(x.shape[1]), key=lambda j: (-abs(a[j]), j))[:cap]
         out[i, keep] = a[keep]
         for j in np.flatnonzero(out[i]):
-            counters.f[li, j] += 1
-            counters.f_c[rows[i], li, j] += 1
+            f_c[rows[i], j] += 1
     return out
 
 
@@ -348,17 +362,17 @@ def test_batched_sparsify_and_record_matches_per_row_loop():
         exp = _per_row_reference(x, p, u, k, rows, ref_c, 2)
         np.testing.assert_array_equal(got, exp)
         np.testing.assert_array_equal(got != 0, exp != 0)
-        np.testing.assert_array_equal(got_c.f, ref_c.f)
-        np.testing.assert_array_equal(got_c.f_c, ref_c.f_c)
+        for l in (0, 2):
+            np.testing.assert_array_equal(got_c.f_c[l], ref_c.f_c[l])
 
 
 def test_record_counts_every_repeated_class_row():
     counters = make_counters(width=3, classes=(1, 2))
     support = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 1]], dtype=bool)
     counters.record(np.array([0, 0, 1]), 0, support)
-    np.testing.assert_array_equal(counters.f[0], [2, 2, 1])
-    np.testing.assert_array_equal(counters.f_c[0, 0], [2, 1, 0])
-    np.testing.assert_array_equal(counters.f_c[1, 0], [0, 1, 1])
+    np.testing.assert_array_equal(counters.f_c[0].sum(axis=0), [2, 2, 1])
+    np.testing.assert_array_equal(counters.f_c[0][0], [2, 1, 0])
+    np.testing.assert_array_equal(counters.f_c[0][1], [0, 1, 1])
 
 
 def test_record_rejects_unknown_class_or_wrong_width():
@@ -368,16 +382,18 @@ def test_record_rejects_unknown_class_or_wrong_width():
             counters.record(np.array([0, bad]), 0, np.ones((2, 2), dtype=bool))
     with pytest.raises(ContractViolation):
         counters.record(np.array([1]), 0, np.ones((1, 4), dtype=bool))
-    assert counters.f.sum() == 0
+    with pytest.raises(ContractViolation, match="not a target layer"):
+        counters.record(1, 1, np.array([True, False]))
+    assert counters.f_c[0].sum() == 0
     counters.record(1, 0, np.array([True, False]))  # one 1-D support row
-    np.testing.assert_array_equal(counters.f_c[:, 0], [[0, 0], [1, 0]])
+    np.testing.assert_array_equal(counters.f_c[0], [[0, 0], [1, 0]])
 
 
 def test_add_task_hands_out_rows_in_order_and_rejects_repeats():
     counters = make_counters(width=2, classes=(4, 9))
     assert counters.add_task((1, 0)) == 2
     assert counters.class_ids == [4, 9, 1, 0]
-    assert counters.f_c.shape == (4, 1, 2)
+    assert {l: f_c.shape for l, f_c in counters.f_c.items()} == {0: (4, 2)}
     for classes in ((9, 3), (3, 3)):  # a class with a row, one given twice
         with pytest.raises(ContractViolation):
             counters.add_task(classes)

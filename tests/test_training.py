@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sgds.checkpoint import load_state, save_state
 from sgds.data import SyntheticSpec, generate_synthetic
 from sgds.inference import embed
 from sgds.masking import Phase, Strategy
@@ -170,9 +171,9 @@ def test_counter_growth_locality():
     # one F_c row per seen class, in the state's class order
     assert state.counters.class_ids == state.class_ids
     assert set(state.counters.class_ids) == seen
-    # only the target layer row exists, and it accumulated history
-    assert state.counters.f.shape[0] == 1
-    assert state.counters.f.sum() > 0
+    # only the target layer's array exists, and it accumulated history
+    assert list(state.counters.f_c) == [1]
+    assert state.counters.f_c[1].sum() > 0
 
 
 def test_old_class_counter_rows_never_change_during_a_task():
@@ -180,15 +181,40 @@ def test_old_class_counter_rows_never_change_during_a_task():
     cfg = small_config()
     state = fresh_state()
     for task in small_stream(tasks=3).tasks:
-        old = state.counters.f_c.copy()
+        old = {l: f_c.copy() for l, f_c in state.counters.f_c.items()}
         train_task(state, task, cfg, run_seed=3)
-        assert state.counters.f_c[:len(old)].tobytes() == old.tobytes()
+        for l, f_c in old.items():
+            assert state.counters.f_c[l][:len(f_c)].tobytes() == f_c.tobytes()
     assert any(p.strategy is Strategy.KNOWLEDGE_REUSE
                for log in state.task_logs for p in log.profiles)
 
 
+@pytest.mark.parametrize("restore", ["nothing", "counters", "prototypes"])
+def test_training_a_loaded_checkpoint_is_a_typed_error(restore, tmp_path):
+    # a checkpoint restores neither the counters nor the frozen prototypes
+    cfg = small_config()
+    stream = small_stream(tasks=3)
+    state = fresh_state()
+    for task in stream.tasks[:2]:
+        train_task(state, task, cfg, run_seed=3)
+    save_state(tmp_path, state)
+    loaded = load_state(tmp_path, state.backbone)
+    if restore == "counters":
+        loaded.counters = state.counters
+    elif restore == "prototypes":
+        loaded.frozen_prototypes = dict(state.frozen_prototypes)
+    counter_rows = list(loaded.counters.class_ids)
+    prototypes = set(loaded.frozen_prototypes)
+    with pytest.raises(ContractViolation, match="scored but not trained"):
+        train_task(loaded, stream.tasks[2], cfg, run_seed=3)
+    assert len(loaded.adapters) == 2 and loaded.class_ids == state.class_ids
+    assert loaded.counters.class_ids == counter_rows
+    assert set(loaded.frozen_prototypes) == prototypes
+    assert len(loaded.task_logs) == 0
+
+
 def _batch_tape_for(cfg, masked=True):
-    """One batch's tape, and how much it added to the global counters."""
+    """One batch's tape, and how much it added to the target layer's F."""
     stream = small_stream(tasks=1)
     state = fresh_state(masked)
     task = stream.tasks[0]
@@ -196,12 +222,12 @@ def _batch_tape_for(cfg, masked=True):
               "wd_1": np.zeros((16, 4)), "wu_1": np.zeros((4, 16))}
     base = state.counters.add_task(task.classes)
     slots = np.array([task.classes.index(c) for c in task.train_y[:8]])
-    before = state.counters.f.copy()
+    before = state.counters.f_c[1].sum(axis=0)
     # a first task has no old classes, so every class allocates: no reuse
     tape, _ = build_batch_tape(
         state, params, task.train_x[:8], slots, cfg, Phase.EXPLORATION,
         base, {1: {}}, {1: np.full((8, 16), 0.5)})
-    return tape, state.counters.f - before
+    return tape, state.counters.f_c[1].sum(axis=0) - before
 
 
 def test_disabling_sgds_removes_mask_ops():
@@ -217,7 +243,7 @@ def test_enabled_sgds_masks_target_layer():
     mask = tape.nodes[0].mask
     assert mask.shape == (8, 16) and 0 < mask.sum() < mask.size
     # every unit the mask keeps is counted once, at the target layer
-    np.testing.assert_array_equal(recorded[0], mask.sum(axis=0))
+    np.testing.assert_array_equal(recorded, mask.sum(axis=0))
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf, 1.5, 0.0, -0.6])
@@ -228,9 +254,10 @@ def test_state_rejects_k_outside_unit_interval(k):
 
 def test_state_defaults():
     state = ContinualState(FrozenBackbone.create(3, 16), (2, 0), 1.0, False)
-    assert state.target_layers == state.counters.target_layers == (0, 2)
+    assert state.target_layers == tuple(state.counters.f_c) == (0, 2)
     assert state.classifier.shape == (0, 16)
-    assert state.counters.f.shape == (2, 16) and not state.counters.f.any()
+    assert {l: f_c.shape for l, f_c in state.counters.f_c.items()} == {
+        0: (0, 16), 2: (0, 16)}
     assert state.adapters == state.class_ids == []
 
 
