@@ -296,8 +296,8 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     if (state.counters.class_ids != state.class_ids
             or set(state.frozen_prototypes) != set(state.class_ids)):
         raise ContractViolation(
-            "the state's counters or frozen prototypes do not match its classes: "
-            "a loaded checkpoint can be scored but not trained until resume exists")
+            "counters or frozen prototypes do not match the state's classes: a loaded "
+            "checkpoint can be scored but not trained until resume exists")
     if set(task.classes) & set(state.class_ids):
         raise ContractViolation("task classes overlap previously seen classes")
     task_index = len(state.adapters)
