@@ -6,8 +6,9 @@ Probability conventions for zero history (all deliberate):
   * compaction: max F_c[c] == 0 -> probability 1 everywhere (unconstrained).
 
 ``F_c`` is one ``(classes, width)`` array per target layer, its rows in
-``ActivationCounters.class_ids`` order (a task's classes take the next rows),
-and a layer's global count ``F`` is its column sum.  Formulas take rows.
+``ActivationCounters.class_ids`` order, and a layer's global count ``F`` is
+its column sum.  A training task counts into counters of its own, whose rows
+are its slots, and commits them at its end.  Formulas take rows.
 """
 from __future__ import annotations
 
@@ -147,18 +148,17 @@ def compaction_probability(counts: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def dispatch_probability(counters: ActivationCounters, layer: int,
-                         phase: Phase, base: int, reuse: dict[int, np.ndarray],
+                         phase: Phase, f_old: np.ndarray,
+                         reuse: dict[int, np.ndarray],
                          beta: float, gamma: float) -> np.ndarray:
-    """The ``(C, width)`` table of the task whose ``F_c`` rows start at
-    ``base``, one row per task slot: own ``F_c`` rows in compaction, else
-    ``reuse``'s vectors (by slot) and the allocation row for the rest."""
-    if not 0 <= base < len(counters.class_ids):
-        raise ContractViolation(f"counter row {base} was never handed out")
+    """The ``(C, width)`` table of a task whose ``counters`` rows are its slots:
+    own rows in compaction, else ``reuse``'s vectors (by slot) and, for the
+    rest, the allocation row of ``F`` = ``f_old`` + the task's column sum."""
     f_c = counters.layer(layer)
     if phase is Phase.COMPACTION:
-        return compaction_probability(f_c[base:], gamma)
-    table = np.tile(allocation_probability(f_c.sum(axis=0), beta),
-                    (len(f_c) - base, 1))
+        return compaction_probability(f_c, gamma)
+    table = np.tile(allocation_probability(f_old + f_c.sum(axis=0), beta),
+                    (len(f_c), 1))
     for s, p in reuse.items():
         table[s] = p
     return table

@@ -185,6 +185,7 @@ class BlobReader:
         if self.blob[:len(magic)] != magic:
             raise FormatError(f"{self.name}: bad magic", 0)
         self.off = len(magic)
+        self.floats = []  # (offset, field, values) of each float array read
 
     def _take(self, n: int, what: str) -> int:
         start = self.off
@@ -199,13 +200,22 @@ class BlobReader:
 
     def array(self, dtype, count: int, what: str) -> np.ndarray:
         dtype = np.dtype(dtype)
-        return np.frombuffer(self.blob, dtype=dtype, count=count,
-                             offset=self._take(dtype.itemsize * count, what)).copy()
+        start = self._take(dtype.itemsize * count, what)
+        a = np.frombuffer(self.blob, dtype=dtype, count=count, offset=start)
+        if dtype.kind == "f":
+            self.floats.append((start, what, a))
+        return a.copy()
 
     def end(self) -> None:
         if self.off != len(self.blob):
             raise FormatError(f"{self.name}: {len(self.blob) - self.off} "
                               "bytes past the end of the data", self.off)
+        # one finiteness check per file; only a failure looks for the field
+        arrays = [a for _, _, a in self.floats]
+        if arrays and not np.isfinite(np.concatenate(arrays)).all():
+            start, what, a = next(f for f in self.floats if not np.isfinite(f[2]).all())
+            raise FormatError(f"{self.name}: non-finite {what}",
+                              start + int(np.isfinite(a).argmin()) * a.itemsize)
 
 
 def load_adapter(path) -> tuple[Adapter, int, int]:

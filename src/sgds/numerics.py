@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,35 +31,18 @@ def cosine_lr(epoch: int, total: int, base_lr: float) -> float:
     return base_lr * (1.0 + math.cos(math.pi * epoch / total)) / 2.0
 
 
-@dataclass
-class OptimizerState:
-    """SGD-with-momentum state; lr follows the per-epoch cosine schedule."""
-
-    base_lr: float
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    epoch: int = 0
-    total_epochs: int = 1
-    velocity: dict = field(default_factory=dict)
-
-    @property
-    def lr(self) -> float:
-        return cosine_lr(self.epoch, self.total_epochs, self.base_lr)
-
-
-def sgd_step(state: OptimizerState, params: dict, grads: dict) -> dict:
-    """v <- m*v + g; p <- p - lr*v.  Updates params in place, returns them."""
-    lr = state.lr
+def sgd_step(params: dict, grads: dict, velocity: dict, lr: float,
+             momentum: float, weight_decay: float) -> None:
+    """v <- m*v + g; p <- p - lr*v.  Updates params and velocity in place."""
     for name, p in params.items():
         g = grads[name]
         if np.shape(g) != np.shape(p):
             raise ContractViolation(f"shape mismatch for parameter {name!r}")
-        if state.weight_decay:
-            g = g + state.weight_decay * p
-        v = state.velocity.get(name)
+        if weight_decay:
+            g = g + weight_decay * p
+        v = velocity.get(name)
         if v is None:
             v = np.zeros_like(p)
-        v = state.momentum * v + g
-        state.velocity[name] = v
+        v = momentum * v + g
+        velocity[name] = v
         p -= lr * v
-    return params

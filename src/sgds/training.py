@@ -11,8 +11,7 @@ from .masking import (ActivationCounters, Phase, SemanticProfile, Strategy,
                       dispatch_probability, formulate_strategy, relation_distribution,
                       reuse_probability, sparsify_and_record)
 from .model import Adapter, Block, FrozenBackbone, adapter_term
-from .numerics import (ContractViolation, NumericError, OptimizerState,
-                       sgd_step)
+from .numerics import ContractViolation, NumericError, cosine_lr, sgd_step
 from .rng import TAG_ALIGN, TAG_MASK, TAG_SHUFFLE, stream_rng, stream_uniforms
 
 VAR_FLOOR = 1e-6
@@ -178,13 +177,14 @@ def _check_finite(name: str, value) -> None:
         raise NumericError(f"non-finite {name}")
 
 
-def build_batch_tape(state, params, x, slots, cfg, phase, base, reuse, mask_u):
+def build_batch_tape(state, params, x, slots, cfg, phase, counters, prior, mask_u):
     """Forward pass of one batch; returns (tape, loss).
 
     ``slots`` holds each row's index in the task's class list; the row's
-    logit column is its slot after the old-class head rows, and its ``F_c``
-    row is ``base + slot``.  ``reuse`` maps each target layer to the task's
-    reuse vectors by slot.  ``params`` maps ``head_new`` and
+    logit column is its slot after the old-class head rows, and it counts
+    into row ``slot`` of the task's own ``counters``.  ``prior`` maps each
+    target layer to ``F_old``, the earlier tasks' ``F``, and the task's reuse
+    vectors by slot.  ``params`` maps ``head_new`` and
     ``wd_<l>``/``wu_<l>`` per target layer to the arrays ``sgd_step`` updates.
     ``mask_u`` maps each target layer to the batch's ``(B, width)`` mask
     uniforms; it is read only when ``state.masked``.  The orthogonality
@@ -202,12 +202,12 @@ def build_batch_tape(state, params, x, slots, cfg, phase, base, reuse, mask_u):
         if target and state.masked:
             # the task's probability table from the counters at batch start
             if phase_active:
-                probs = dispatch_probability(state.counters, l, phase, base,
-                                             reuse[l], cfg.beta, cfg.gamma)[slots]
+                probs = dispatch_probability(counters, l, phase, *prior[l],
+                                             cfg.beta, cfg.gamma)[slots]
             else:
                 probs = np.ones_like(a)
-            out = sparsify_and_record(a, probs, state.k, mask_u[l],
-                                      state.counters, base + slots, l)
+            out = sparsify_and_record(a, probs, state.k, mask_u[l], counters,
+                                      slots, l)
             mask = (out != 0.0).astype(np.float64)
             a = a * mask
         pre, mlp_out = block.mlp(a)
@@ -292,7 +292,8 @@ def backward(tape: BatchTape, params: dict) -> dict:
 
 def train_task(state: ContinualState, task, cfg: TrainConfig,
                run_seed: int) -> ContinualState:
-    """Train one task's adapter and head rows; updates state in place."""
+    """Train one task's adapter and head rows, then add them to ``state`` in
+    one block at the end, so a task that raises leaves the state as it was."""
     if (state.counters.class_ids != state.class_ids
             or set(state.frozen_prototypes) != set(state.class_ids)):
         raise ContractViolation(
@@ -307,17 +308,18 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     frozen = compute_prototypes(
         embed(task.train_x, state.backbone, [None], state.target_layers,
               state.k, masked=False)[0], task.train_y)
-    state.frozen_prototypes.update(frozen)
     old = tuple(state.class_ids)
-    pool = {c: state.frozen_prototypes[c] for c in (*old, *task.classes)}
+    pool = {**state.frozen_prototypes, **frozen}
     profiles = [formulate_strategy(c, relation_distribution(c, pool), old,
                                    task.classes) for c in task.classes]
 
-    base = state.counters.add_task(task.classes)
-    # only current-task rows are recorded, so reuse vectors hold for the task
-    reuse = {l: {s: reuse_probability(f_c[:base], [p.relation[y] for y in old])
-                 for s, p in enumerate(profiles)
-                 if p.strategy is Strategy.KNOWLEDGE_REUSE}
+    # the task counts into its own rows, so F_old and reuse hold for the task
+    counters = ActivationCounters(state.target_layers, d)
+    counters.add_task(task.classes)
+    prior = {l: (f_c.sum(axis=0),
+                 {s: reuse_probability(f_c, [p.relation[y] for y in old])
+                  for s, p in enumerate(profiles)
+                  if p.strategy is Strategy.KNOWLEDGE_REUSE})
              for l, f_c in state.counters.f_c.items()}
 
     # phase 2: adapter + new-head training
@@ -329,12 +331,11 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     slot_of = {c: i for i, c in enumerate(task.classes)}
     slots = np.array([slot_of[int(c)] for c in task.train_y], dtype=np.int64)
 
-    opt = OptimizerState(base_lr=cfg.lr, momentum=cfg.momentum,
-                         weight_decay=cfg.weight_decay, total_epochs=cfg.epochs)
+    velocity = {}
     epoch_losses, epoch_phases = [], []
     n = len(task.train_y)
     for epoch in range(1, cfg.epochs + 1):
-        opt.epoch = epoch - 1
+        lr = cosine_lr(epoch - 1, cfg.epochs, cfg.lr)
         phase = _epoch_phase(epoch, cfg.epochs)
         epoch_phases.append(phase)
         order = stream_rng(run_seed, TAG_SHUFFLE, task_index, epoch).permutation(n)
@@ -345,11 +346,13 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
         for start in range(0, n, cfg.batch):
             idx = order[start:start + cfg.batch]
             mask_u = {l: u[start:start + cfg.batch] for l, u in epoch_u.items()}
-            try:
-                tape, loss = build_batch_tape(
-                    state, params, task.train_x[idx], slots[idx], cfg, phase,
-                    base, reuse, mask_u)
-                sgd_step(opt, params, backward(tape, params))
+            try:  # the finite checks, not NumPy warnings, report an overflow
+                with np.errstate(over="ignore", invalid="ignore"):
+                    tape, loss = build_batch_tape(
+                        state, params, task.train_x[idx], slots[idx], cfg,
+                        phase, counters, prior, mask_u)
+                    sgd_step(params, backward(tape, params), velocity, lr,
+                             cfg.momentum, cfg.weight_decay)
                 for name, p in params.items():
                     _check_finite(name, p)
             except NumericError as exc:
@@ -363,21 +366,23 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     # the new adapter's features, then the previous adapter's for the drift
     feats = embed(task.train_x, state.backbone, [adapter, *state.adapters[-1:]],
                   state.target_layers, state.k, state.masked)
-    new_stats = fit_class_gaussians(
-        {c: feats[0][task.train_y == c] for c in task.classes})
     aligned = align_old_prototypes(state, feats[0], feats[-1],
                                    cfg.align_samples, run_seed, task_index)
-    for c, mean in aligned.items():
-        state.class_stats[c] = (mean, state.class_stats[c][1])
-    state.class_stats.update(new_stats)
+    class_stats = {c: (aligned.get(c, mean), var)
+                   for c, (mean, var) in state.class_stats.items()}
+    class_stats.update(fit_class_gaussians(
+        {c: feats[0][task.train_y == c] for c in task.classes}))
+    class_ids = [*state.class_ids, *task.classes]
+    classifier = build_classifier(
+        {c: class_stats[c][0] for c in class_ids}, class_ids)
 
+    # commit: the only place the task changes the state
+    base = state.counters.add_task(task.classes)
+    for l, f_c in counters.f_c.items():
+        state.counters.f_c[l][base:] = f_c
     state.adapters.append(adapter)
-    state.class_ids = list(state.class_ids) + list(task.classes)
-    state.classifier = build_classifier(
-        {c: state.class_stats[c][0] for c in state.class_ids}, state.class_ids)
-    state.task_logs.append(TaskLog(
-        profiles=profiles,
-        epoch_losses=epoch_losses,
-        epoch_phases=epoch_phases,
-    ))
+    state.class_ids, state.class_stats = class_ids, class_stats
+    state.classifier = classifier
+    state.frozen_prototypes.update(frozen)
+    state.task_logs.append(TaskLog(profiles, epoch_losses, epoch_phases))
     return state

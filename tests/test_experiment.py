@@ -364,12 +364,15 @@ def test_empty_test_split_fails_before_any_output(tmp_path, monkeypatch,
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("error")
 def test_cli_numeric_error_exit_code(tmp_path, capsys):
-    # one batch per epoch: the step of epoch 2 overflows, and that batch is named
-    for key, where in [("train.weight_decay", "task 1, epoch 2, batch 1: non-finite wd_1"),
-                       ("train.lr", "task 1, epoch 2, batch 1: non-finite wu_1")]:
-        cfg_path = quick_config(tmp_path, **{key: "1e200"})
+    # one batch per epoch: the step of epoch 2 overflows, and that batch is
+    # named in the typed message, with no NumPy warning before it
+    for key, value, where in [
+            ("train.weight_decay", "1e200", "task 1, epoch 2, batch 1: non-finite wd_1"),
+            ("train.lr", "1e200", "task 1, epoch 2, batch 1: non-finite wu_1"),
+            ("train.lr", "1e300", "task 1, epoch 2, batch 1: non-finite wu_1")]:
+        cfg_path = quick_config(tmp_path, **{key: value})
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"numeric failure: {where}\n"
 
@@ -476,6 +479,30 @@ def test_cli_eval_rejects_bad_k_in_checkpoint(saved_run, tmp_path, capsys, k):
     assert main(["eval", str(bad), str(cfg_path)]) == 1
     assert (capsys.readouterr().err
             == f"error: sparsity ratio k must be in (0, 1], got {k}\n")
+
+
+# stats.bin: a 37-byte header, then per class its id and three rows of 16
+# floats (mean, variance, classifier row); an adapter file: a 32-byte header,
+# then W_down (16 x 4) and W_up (4 x 16) of layer 1
+@pytest.mark.parametrize("name,values,message", [
+    ("stats.bin", {37 + 4 + 32 * 8 + 3 * 8: math.nan,
+                   37 + (4 + 48 * 8) + 4: math.inf},
+     "stats.bin: non-finite classifier row of class 1 (byte offset 321)"),
+    ("adapter_000.sgdsadp", {32 + 64 * 8 + 5 * 8: math.inf},
+     "adapter_000.sgdsadp: non-finite W_up of layer 1 (byte offset 584)")])
+@pytest.mark.filterwarnings("error")
+def test_cli_eval_rejects_non_finite_checkpoint_value(saved_run, tmp_path,
+                                                      capsys, name, values,
+                                                      message):
+    cfg_path, ckpt = saved_run
+    bad = tmp_path / "ckpt"
+    shutil.copytree(ckpt, bad)
+    blob = bytearray((bad / name).read_bytes())
+    for offset, value in values.items():
+        struct.pack_into("<d", blob, offset, value)
+    (bad / name).write_bytes(bytes(blob))
+    assert main(["eval", str(bad), str(cfg_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def patched_masking_byte(ckpt, tmp_path, value):

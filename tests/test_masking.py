@@ -179,54 +179,51 @@ def test_compaction_no_history_convention():
 
 def test_dispatch_exploration_allocation_zero_counters():
     counters = make_counters(classes=(0,))
-    p = dispatch_probability(counters, 0, Phase.EXPLORATION, 0, {}, 0.5, 1.0)
+    p = dispatch_probability(counters, 0, Phase.EXPLORATION,
+                             np.zeros(6, dtype=np.int64), {}, 0.5, 1.0)
     np.testing.assert_array_equal(p, np.ones((1, 6)))
 
 
 def test_dispatch_exploration_reuse_zero_counters():
-    counters = make_counters(classes=(0,))
-    base = counters.add_task((1,))
-    reuse = {0: reuse_probability(counters.f_c[0][:base], [0.0])}
-    p = dispatch_probability(counters, 0, Phase.EXPLORATION, base, reuse,
-                             0.5, 1.0)
+    old = make_counters(classes=(0,))
+    counters = make_counters(classes=(1,))
+    reuse = {0: reuse_probability(old.f_c[0], [0.0])}
+    p = dispatch_probability(counters, 0, Phase.EXPLORATION,
+                             old.f_c[0].sum(axis=0), reuse, 0.5, 1.0)
     np.testing.assert_array_equal(p, np.zeros((1, 6)))
 
 
 def test_dispatch_compaction_delegates():
     counters = make_counters(width=3, classes=(0,))
     counters.f_c[0][0] = [3, 0, 1]
-    p = dispatch_probability(counters, 0, Phase.COMPACTION, 0, {}, 0.5, 1.0)
+    p = dispatch_probability(counters, 0, Phase.COMPACTION,
+                             np.zeros(3, dtype=np.int64), {}, 0.5, 1.0)
     np.testing.assert_allclose(p, [compaction_probability(counters.f_c[0][0],
                                                           1.0)])
-
-
-def test_dispatch_compaction_unknown_class():
-    # a task whose first counter row was never handed out
-    counters = make_counters(classes=(0,))
-    for base in (-1, 1):
-        with pytest.raises(ContractViolation):
-            dispatch_probability(counters, 0, Phase.COMPACTION, base, {},
-                                 0.5, 1.0)
 
 
 def test_dispatch_table_matches_scalar_oracles_slot_by_slot():
     from test_acceptance import _oracle_alloc, _oracle_compact, _oracle_reuse
     rng = np.random.default_rng(41)
     width, layers, beta, gamma = 7, (1, 3), 0.7, 1.3
-    counters = make_counters(width=width, layers=layers, classes=(5, 2, 9))
-    base = counters.add_task((4, 0, 8, 1))
+    # the earlier tasks' counters and the task's own, whose rows are its slots
+    earlier = make_counters(width=width, layers=layers, classes=(5, 2, 9))
+    counters = make_counters(width=width, layers=layers, classes=(4, 0, 8, 1))
+    base = len(earlier.class_ids)
     f_c = rng.integers(0, 30, size=(7, len(layers), width))
     f_c[1] = 0  # an old class with no history
     f_c[base + 2] = 0  # a current class with no history
     for li, l in enumerate(layers):
-        counters.f_c[l][:] = f_c[:, li]
+        earlier.f_c[l][:] = f_c[:base, li]
+        counters.f_c[l][:] = f_c[base:, li]
     weights = {0: [0.5, 0.1, 0.2], 3: [0.2, 0.3, 0.4]}  # slots 1, 2 allocate
     for li, l in enumerate(layers):
         old = f_c[:base, li].tolist()
-        reuse = {s: reuse_probability(counters.f_c[l][:base], w)
+        reuse = {s: reuse_probability(earlier.f_c[l], w)
                  for s, w in weights.items()}
         for phase in Phase:
-            table = dispatch_probability(counters, l, phase, base, reuse,
+            table = dispatch_probability(counters, l, phase,
+                                         earlier.f_c[l].sum(axis=0), reuse,
                                          beta, gamma)
             assert table.shape == (4, width)
             for s in range(4):

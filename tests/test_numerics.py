@@ -8,10 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from sgds.masking import Phase
+from sgds.masking import ActivationCounters, Phase
 from sgds.model import Adapter, FrozenBackbone
-from sgds.numerics import (ContractViolation, NumericError, OptimizerState,
-                           cosine_lr, sgd_step)
+from sgds.numerics import ContractViolation, NumericError, cosine_lr, sgd_step
 from sgds import training
 from sgds.training import (ContinualState, TrainConfig, backward,
                            build_batch_tape, train_task)
@@ -45,10 +44,10 @@ def engine_graph(seed, d, r, layers=1, targets=(0,), masked=False, n_old=0,
     def loss_fn(p):
         state = ContinualState(backbone, targets, 0.6, masked, adapters=prev,
                                classifier=classifier)
-        state.counters.add_task(range(n_old))
-        base = state.counters.add_task(range(n_old, n_old + n_new))
+        counters = ActivationCounters(targets, d)
+        counters.add_task(range(n_old, n_old + n_new))
         return build_batch_tape(state, p, x, y - n_old, cfg,
-                                Phase.EXPLORATION, base, {}, mask_u)
+                                Phase.EXPLORATION, counters, {}, mask_u)
 
     return params, loss_fn
 
@@ -121,8 +120,8 @@ def test_nonfinite_parameter_raises_naming_it(monkeypatch):
     from test_training import fresh_state, small_config, small_stream
     steps = []
 
-    def poisoned_step(opt, params, grads):
-        sgd_step(opt, params, grads)
+    def poisoned_step(params, *rest):
+        sgd_step(params, *rest)
         steps.append(None)
         if len(steps) == 5:  # 48 samples in batches of 16: epoch 2, batch 2
             params["wu_1"][0, 3] = np.nan
@@ -208,34 +207,30 @@ def test_cosine_lr_monotone_and_contracts():
 
 
 def test_sgd_plain_step():
-    state = OptimizerState(base_lr=0.1, momentum=0.0, total_epochs=2)
     params = {"p": np.array([1.0])}
-    sgd_step(state, params, {"p": np.array([2.0])})
+    sgd_step(params, {"p": np.array([2.0])}, {}, cosine_lr(0, 2, 0.1), 0.0, 0.0)
     np.testing.assert_allclose(params["p"], [0.8], atol=1e-15)
 
 
 def test_sgd_momentum_recurrence():
-    state = OptimizerState(base_lr=0.1, momentum=0.9, total_epochs=2)
-    params = {"p": np.array([0.0])}
-    sgd_step(state, params, {"p": np.array([1.0])})
-    sgd_step(state, params, {"p": np.array([1.0])})
-    np.testing.assert_allclose(state.velocity["p"], [1.9], atol=1e-15)
+    params, velocity = {"p": np.array([0.0])}, {}
+    sgd_step(params, {"p": np.array([1.0])}, velocity, 0.1, 0.9, 0.0)
+    sgd_step(params, {"p": np.array([1.0])}, velocity, 0.1, 0.9, 0.0)
+    np.testing.assert_allclose(velocity["p"], [1.9], atol=1e-15)
     np.testing.assert_allclose(params["p"], [-(0.1 + 0.19)], atol=1e-15)
 
 
 def test_sgd_zero_gradient_fixed_point():
-    state = OptimizerState(base_lr=0.1, momentum=0.5, total_epochs=2)
-    state.velocity["p"] = np.array([1.0])
+    velocity = {"p": np.array([1.0])}
     params = {"p": np.array([5.0])}
     for _ in range(50):
         before = params["p"].copy()
-        sgd_step(state, params, {"p": np.array([0.0])})
+        sgd_step(params, {"p": np.array([0.0])}, velocity, 0.1, 0.5, 0.0)
         moved = abs(params["p"] - before)
-    assert state.velocity["p"][0] < 1e-12
+    assert velocity["p"][0] < 1e-12
     assert moved[0] < 1e-12
 
 
 def test_sgd_shape_mismatch():
-    state = OptimizerState(base_lr=0.1, total_epochs=1)
     with pytest.raises(ContractViolation):
-        sgd_step(state, {"p": np.zeros(2)}, {"p": np.zeros(3)})
+        sgd_step({"p": np.zeros(2)}, {"p": np.zeros(3)}, {}, 0.1, 0.9, 0.0)

@@ -6,9 +6,9 @@ import pytest
 from sgds.checkpoint import load_state, save_state
 from sgds.data import SyntheticSpec, generate_synthetic
 from sgds.inference import embed
-from sgds.masking import Phase, Strategy
+from sgds.masking import ActivationCounters, Phase, Strategy
 from sgds.model import FrozenBackbone
-from sgds.numerics import ContractViolation
+from sgds.numerics import ContractViolation, NumericError
 from sgds.rng import TAG_MASK, stream_rng
 from sgds.training import (ContinualState, TrainConfig, _epoch_mask_uniforms,
                            align_old_prototypes, build_batch_tape,
@@ -213,6 +213,34 @@ def test_training_a_loaded_checkpoint_is_a_typed_error(restore, tmp_path):
     assert len(loaded.task_logs) == 0
 
 
+def test_a_task_that_raises_leaves_the_state_as_it_was():
+    # the state changes only after a task's last batch, so a failed task can
+    # be trained again and gives what a run without the failure gives
+    cfg = small_config()
+    stream = small_stream(tasks=2)
+    state = fresh_state()
+    train_task(state, stream.tasks[0], cfg, run_seed=3)
+
+    def snapshot():
+        return (list(state.class_ids), list(state.counters.class_ids),
+                [(l, f_c.tobytes()) for l, f_c in state.counters.f_c.items()],
+                sorted(state.frozen_prototypes),
+                [(c, m.tobytes(), v.tobytes())
+                 for c, (m, v) in state.class_stats.items()],
+                state.classifier.tobytes(), len(state.adapters),
+                len(state.task_logs))
+
+    before = snapshot()
+    with pytest.raises(NumericError, match="task 2, epoch 1, batch 2: non-finite logits"):
+        train_task(state, stream.tasks[1], small_config(lr=1e300), run_seed=3)
+    assert snapshot() == before
+    train_task(state, stream.tasks[1], cfg, run_seed=3)
+    fresh, _, _ = trained_state(cfg, tasks=2, seed=3)
+    assert state.classifier.tobytes() == fresh.classifier.tobytes()
+    assert ([(l, f_c.tobytes()) for l, f_c in state.counters.f_c.items()]
+            == [(l, f_c.tobytes()) for l, f_c in fresh.counters.f_c.items()])
+
+
 def _batch_tape_for(cfg, masked=True):
     """One batch's tape, and how much it added to the target layer's F."""
     stream = small_stream(tasks=1)
@@ -220,14 +248,17 @@ def _batch_tape_for(cfg, masked=True):
     task = stream.tasks[0]
     params = {"head_new": np.zeros((16, len(task.classes))),
               "wd_1": np.zeros((16, 4)), "wu_1": np.zeros((4, 16))}
-    base = state.counters.add_task(task.classes)
+    counters = ActivationCounters(state.target_layers, 16)
+    counters.add_task(task.classes)
     slots = np.array([task.classes.index(c) for c in task.train_y[:8]])
-    before = state.counters.f_c[1].sum(axis=0)
+    before = counters.f_c[1].sum(axis=0)
     # a first task has no old classes, so every class allocates: no reuse
+    prior = {1: (state.counters.f_c[1].sum(axis=0), {})}
     tape, _ = build_batch_tape(
         state, params, task.train_x[:8], slots, cfg, Phase.EXPLORATION,
-        base, {1: {}}, {1: np.full((8, 16), 0.5)})
-    return tape, state.counters.f_c[1].sum(axis=0) - before
+        counters, prior, {1: np.full((8, 16), 0.5)})
+    assert state.counters.f_c[1].shape == (0, 16)  # the state is only read
+    return tape, counters.f_c[1].sum(axis=0) - before
 
 
 def test_disabling_sgds_removes_mask_ops():
