@@ -165,16 +165,23 @@ def dispatch_probability(counters: ActivationCounters, layer: int,
 
 
 def top_k_mask(a: np.ndarray, k: float) -> np.ndarray:
-    """0/1 mask keeping the ⌊k·N⌋ largest-|a| coordinates per row (stable ties)."""
+    """0/1 mask keeping the ⌊k·N⌋ largest-|a| coordinates per row.
+
+    The coordinates a stable sort of ``-|a|`` puts first: ties go to the lower
+    index and NaN ranks last.  A partition finds the ⌊k·N⌋-th largest
+    magnitude; every larger one is kept, then ties with it in index order.
+    """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[-1]
     cap = int(math.floor(k * n))
     if cap < 1:
         raise ContractViolation("k·N < 1 would zero every activation")
-    order = np.argsort(-np.abs(a), axis=-1, kind="stable")
-    mask = np.zeros_like(a)
-    np.put_along_axis(mask, order[..., :cap], 1.0, axis=-1)
-    return mask
+    mag = np.fmax(np.abs(a), -1.0)  # fmax drops NaN: it becomes -1, below all
+    thr = np.partition(mag, n - cap, axis=-1)[..., n - cap:n - cap + 1]
+    above = mag > thr
+    tie = mag == thr
+    room = cap - above.sum(axis=-1, keepdims=True)
+    return (above | (tie & (np.cumsum(tie, axis=-1) <= room))).astype(np.float64)
 
 
 def sparsify_and_record(x: np.ndarray, p: np.ndarray, k: float,

@@ -131,6 +131,11 @@ def _epoch_phase(epoch: int, total_epochs: int) -> Phase:
     return Phase.EXPLORATION if epoch <= total_epochs // 2 else Phase.COMPACTION
 
 
+def _phase_on(cfg: TrainConfig, phase: Phase) -> bool:
+    """Whether the phase's gate (``se_enabled``/``ac_enabled``) is on."""
+    return cfg.se_enabled if phase is Phase.EXPLORATION else cfg.ac_enabled
+
+
 def _epoch_mask_uniforms(run_seed, task_index, epoch, n, batch, layers, width):
     """Mask uniforms for one epoch's ``n`` rows in batch order, per layer.
 
@@ -173,41 +178,48 @@ class BatchTape:
 
 
 def _check_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NumericError(f"non-finite {name}")
 
 
-def build_batch_tape(state, params, x, slots, cfg, phase, counters, prior, mask_u):
-    """Forward pass of one batch; returns (tape, loss).
+def _frozen_prefix(state, x: np.ndarray) -> np.ndarray:
+    """``x`` through the frozen blocks before the first target layer."""
+    for block in state.backbone.blocks[:state.target_layers[0]]:
+        x = x + block.mlp(x)[1]
+    return x
 
-    ``slots`` holds each row's index in the task's class list; the row's
-    logit column is its slot after the old-class head rows, and it counts
-    into row ``slot`` of the task's own ``counters``.  ``prior`` maps each
+
+def build_batch_tape(state, params, x, slots, cfg, phase, counters, prior, mask_u):
+    """Forward pass of one batch from the first target layer; returns (tape, loss).
+
+    ``x`` is the batch's input to the first target layer, ``_frozen_prefix``
+    of its rows.  ``slots`` holds each row's index in the task's class list;
+    the row's logit column is its slot after the old-class head rows, and it
+    counts into row ``slot`` of the task's own ``counters``.  ``prior`` maps each
     target layer to ``F_old``, the earlier tasks' ``F``, and the task's reuse
     vectors by slot.  ``params`` maps ``head_new`` and
     ``wd_<l>``/``wu_<l>`` per target layer to the arrays ``sgd_step`` updates.
     ``mask_u`` maps each target layer to the batch's ``(B, width)`` mask
-    uniforms; it is read only when ``state.masked``.  The orthogonality
-    penalty runs against every adapter in ``state.adapters``.
+    uniforms; it is read only when ``state.masked`` and the phase is on.
+    The orthogonality penalty runs against every adapter in
+    ``state.adapters``.
     """
-    phase_active = cfg.se_enabled if phase is Phase.EXPLORATION else cfg.ac_enabled
+    phase_on = _phase_on(cfg, phase)
     nodes = []
     a = x
-    for l, block in enumerate(state.backbone.blocks):
+    first = state.target_layers[0]
+    for l, block in enumerate(state.backbone.blocks[first:], first):
         target = l in state.target_layers
-        if not (target or nodes):  # before the first target layer nothing trains
-            a = a + block.mlp(a)[1]
-            continue
         mask = None
         if target and state.masked:
             # the task's probability table from the counters at batch start
-            if phase_active:
+            if phase_on:
                 probs = dispatch_probability(counters, l, phase, *prior[l],
                                              cfg.beta, cfg.gamma)[slots]
-            else:
-                probs = np.ones_like(a)
-            out = sparsify_and_record(a, probs, state.k, mask_u[l], counters,
-                                      slots, l)
+                u = mask_u[l]
+            else:  # u < 1 for every uniform: the gate keeps every unit
+                probs, u = np.ones_like(a), np.zeros_like(a)
+            out = sparsify_and_record(a, probs, state.k, u, counters, slots, l)
             mask = (out != 0.0).astype(np.float64)
             a = a * mask
         pre, mlp_out = block.mlp(a)
@@ -331,6 +343,9 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     slot_of = {c: i for i, c in enumerate(task.classes)}
     slots = np.array([slot_of[int(c)] for c in task.train_y], dtype=np.int64)
 
+    # the frozen prefix runs once per task; a 1-row batch runs its own, since
+    # NumPy sends a 1-row matmul to BLAS gemv, which rounds unlike gemm
+    hoisted = _frozen_prefix(state, task.train_x)
     velocity = {}
     epoch_losses, epoch_phases = [], []
     n = len(task.train_y)
@@ -341,15 +356,17 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
         order = stream_rng(run_seed, TAG_SHUFFLE, task_index, epoch).permutation(n)
         epoch_u = (_epoch_mask_uniforms(run_seed, task_index, epoch, n,
                                         cfg.batch, state.target_layers, d)
-                   if state.masked else {})
+                   if state.masked and _phase_on(cfg, phase) else {})
         losses = []
         for start in range(0, n, cfg.batch):
             idx = order[start:start + cfg.batch]
             mask_u = {l: u[start:start + cfg.batch] for l, u in epoch_u.items()}
             try:  # the finite checks, not NumPy warnings, report an overflow
                 with np.errstate(over="ignore", invalid="ignore"):
+                    x = (_frozen_prefix(state, task.train_x[idx])
+                         if len(idx) == 1 else hoisted[idx])
                     tape, loss = build_batch_tape(
-                        state, params, task.train_x[idx], slots[idx], cfg,
+                        state, params, x, slots[idx], cfg,
                         phase, counters, prior, mask_u)
                     sgd_step(params, backward(tape, params), velocity, lr,
                              cfg.momentum, cfg.weight_decay)

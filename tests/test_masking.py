@@ -9,7 +9,7 @@ from sgds.masking import (ActivationCounters, Phase, Strategy,
                           allocation_probability,
                           compaction_probability, dispatch_probability,
                           formulate_strategy, relation_distribution,
-                          reuse_probability, sparsify_and_record)
+                          reuse_probability, sparsify_and_record, top_k_mask)
 from sgds.numerics import ContractViolation
 from sgds.rng import stream_rng
 
@@ -242,6 +242,53 @@ def test_sparsify_top_k_support():
     assert set(np.flatnonzero(out)) == {6, 0, 4, 2, 3, 1}
     np.testing.assert_array_equal(out[np.flatnonzero(out)],
                                   x[sorted({6, 0, 4, 2, 3, 1})])
+
+
+def _stable_argsort_top_k(a, k):
+    """Reference: the first ⌊k·N⌋ of a stable sort of -|a| (NaN sorts last)."""
+    a = np.asarray(a, dtype=np.float64)
+    order = np.argsort(-np.abs(a), axis=-1, kind="stable")
+    mask = np.zeros_like(a)
+    np.put_along_axis(mask, order[..., :math.floor(k * a.shape[-1])], 1.0,
+                      axis=-1)
+    return mask
+
+
+def _top_k_cases():
+    rng = np.random.default_rng(14)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    for i in range(600):
+        n = int(rng.integers(1, 70))
+        shape = (n,) if i % 2 else (int(rng.integers(1, 9)), n)
+        kind = i % 5
+        if kind == 0:  # integer values: heavy ties
+            a = rng.integers(-3, 4, size=shape).astype(np.float64)
+        elif kind == 1:
+            a = rng.normal(size=shape)
+        elif kind == 2:
+            a = np.zeros(shape)
+        else:  # ties among NaN, ±inf and signed zeros
+            a = rng.integers(-2, 3, size=shape).astype(np.float64)
+            hit = rng.random(shape) < (0.3 if kind == 3 else 0.9)
+            a[hit] = rng.choice(specials, size=shape)[hit]
+        for k in (1.0 / n, 0.25, 0.6, float(rng.uniform(0.0, 1.0)), 1.0):
+            if math.floor(k * n) >= 1:
+                yield a, k
+
+
+def test_top_k_mask_matches_the_stable_argsort_reference():
+    cases = 0
+    for a, k in _top_k_cases():
+        got = top_k_mask(a, k)
+        assert got.dtype == np.float64 and got.shape == a.shape
+        assert np.array_equal(got, _stable_argsort_top_k(a, k)), (k, a)
+        cases += 1
+    assert cases > 1500
+    # cap == 1 and k == 1.0 on a row of NaN, ±inf and ties
+    row = np.array([np.nan, 2.0, -np.inf, -2.0, np.inf, np.nan, 0.0])
+    np.testing.assert_array_equal(top_k_mask(row, 1 / 7), [0, 0, 1, 0, 0, 0, 0])
+    np.testing.assert_array_equal(top_k_mask(row, 4 / 7), [0, 1, 1, 1, 1, 0, 0])
+    np.testing.assert_array_equal(top_k_mask(row, 1.0), np.ones(7))
 
 
 def test_sparsify_zero_probability():

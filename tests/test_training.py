@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from sgds import training
 from sgds.checkpoint import load_state, save_state
 from sgds.data import SyntheticSpec, generate_synthetic
 from sgds.inference import embed
 from sgds.masking import ActivationCounters, Phase, Strategy
-from sgds.model import FrozenBackbone
+from sgds.model import Block, FrozenBackbone
 from sgds.numerics import ContractViolation, NumericError
-from sgds.rng import TAG_MASK, stream_rng
+from sgds.rng import TAG_MASK, stream_rng, stream_uniforms
 from sgds.training import (ContinualState, TrainConfig, _epoch_mask_uniforms,
-                           align_old_prototypes, build_batch_tape,
-                           build_classifier, fit_class_gaussians, train_task)
+                           _frozen_prefix, align_old_prototypes,
+                           build_batch_tape, build_classifier,
+                           fit_class_gaussians, train_task)
 
 
 def small_config(**kw):
@@ -241,6 +243,47 @@ def test_a_task_that_raises_leaves_the_state_as_it_was():
             == [(l, f_c.tobytes()) for l, f_c in fresh.counters.f_c.items()])
 
 
+@pytest.mark.parametrize("batch", [16, 47])
+def test_frozen_prefix_runs_once_per_task_not_per_batch(batch, monkeypatch):
+    # blocks 0 and 1 come before the first target layer; a 1-row batch runs
+    # its own prefix, and each of the task's two embed calls runs it once
+    state = ContinualState(FrozenBackbone.create(4, 16), (2, 3), 0.6, True)
+    prefix = {id(b): l for l, b in enumerate(state.backbone.blocks[:2])}
+    calls = dict.fromkeys(prefix.values(), 0)
+    mlp = Block.mlp
+
+    def counting_mlp(block, x):
+        if id(block) in prefix:
+            calls[prefix[id(block)]] += 1
+        return mlp(block, x)
+
+    monkeypatch.setattr(Block, "mlp", counting_mlp)
+    cfg = small_config(batch=batch)
+    task = small_stream().tasks[0]
+    assert len(task.train_y) == 48  # batch 47 leaves a 1-row tail per epoch
+    train_task(state, task, cfg, run_seed=3)
+    one_row = cfg.epochs if batch == 47 else 0
+    assert calls == {0: 1 + one_row + 2, 1: 1 + one_row + 2}
+
+
+@pytest.mark.parametrize("se, ac", [(True, False), (False, True)])
+def test_an_epoch_whose_phase_is_off_draws_no_mask_uniforms(se, ac, monkeypatch):
+    drawn = []
+
+    def recording_uniforms(keys, n):
+        drawn.append(int(keys[0, 3]))  # the epoch of the stream key
+        return stream_uniforms(keys, n)
+
+    monkeypatch.setattr(training, "stream_uniforms", recording_uniforms)
+    cfg = small_config(se_enabled=se, ac_enabled=ac)
+    state = fresh_state()
+    train_task(state, small_stream(tasks=1).tasks[0], cfg, run_seed=3)
+    phases = state.task_logs[0].epoch_phases
+    on = Phase.EXPLORATION if se else Phase.COMPACTION
+    assert drawn == [e for e, p in enumerate(phases, 1) if p is on]  # one layer
+    assert drawn and len(drawn) < cfg.epochs
+
+
 def _batch_tape_for(cfg, masked=True):
     """One batch's tape, and how much it added to the target layer's F."""
     stream = small_stream(tasks=1)
@@ -255,8 +298,8 @@ def _batch_tape_for(cfg, masked=True):
     # a first task has no old classes, so every class allocates: no reuse
     prior = {1: (state.counters.f_c[1].sum(axis=0), {})}
     tape, _ = build_batch_tape(
-        state, params, task.train_x[:8], slots, cfg, Phase.EXPLORATION,
-        counters, prior, {1: np.full((8, 16), 0.5)})
+        state, params, _frozen_prefix(state, task.train_x[:8]), slots, cfg,
+        Phase.EXPLORATION, counters, prior, {1: np.full((8, 16), 0.5)})
     assert state.counters.f_c[1].shape == (0, 16)  # the state is only read
     return tape, counters.f_c[1].sum(axis=0) - before
 
