@@ -3,14 +3,16 @@ computes in any of these cells fails here.
 
 Every cell is criterion 9's tiny config on a 4-layer backbone with a few
 overrides.  Its pin is the sha256 of ``results.csv``, ``strategy.csv``,
-``counters.csv``, the checkpoint directory and the stdout of ``sgds eval``
-on that checkpoint.  The ``embeddings`` cell trains on the base config's
+``counters.csv``, the checkpoint directory, the stdout of ``sgds eval``
+on that checkpoint and every task's epoch losses as float64 bytes (the
+only output the orthogonality penalty's summation order reaches).  The ``embeddings`` cell trains on the base config's
 pool written by ``sgds gen-synthetic``.  The hashes depend on the
 host's BLAS build, as ``perfbench/goldens.json`` does: a 1-row batch takes
 the gemv path and a larger one gemm, and the two round differently.
 
-``python tests/test_sweep.py --pin`` rewrites ``tests/sweep_goldens.json``.
-A change that needs it has changed behaviour, not performance.
+``python tests/test_sweep.py --pin`` rewrites ``tests/sweep_goldens.json``
+and prints, per cell, the keys it added, changed and dropped.  A change
+that changes a hash has changed behaviour, not performance.
 """
 import contextlib
 import hashlib
@@ -20,6 +22,7 @@ import os
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -57,6 +60,10 @@ CELLS = {
                                 ("full", "true", "true", "true"))},
     **{f"param_reg-{m}": {"baseline.param_reg.mode": m}
        for m in ("up", "down", "both")},
+    # train-preg-all in small: both sides on all four layers, SGDS off
+    "param_reg-both-all": {"sgds.enabled": "false",
+                           "sgds.target_layers": "0,1,2,3",
+                           "baseline.param_reg.mode": "both"},
     "odd-dim": {"model.dim": "13", "adapter.rank": "3", "sgds.beta": "2.0",
                 "sgds.gamma": "0.3"},
     "align-0": {"align.samples": "0"},
@@ -92,7 +99,7 @@ def cell_hashes(name: str, out_dir: str) -> dict:
             os.path.join(out_dir, "base.cfg"), BASE), pool)
         values["dataset.path"] = pool
     cfg = parse_config(overrides=values)
-    run_experiment(cfg, os.path.join(out_dir, "run"))
+    (result,) = run_experiment(cfg, os.path.join(out_dir, "run"))
     run_dir = os.path.join(out_dir, "run", f"seed_{cfg.seeds[0]}")
     hashes = {f: sha256_file(os.path.join(run_dir, f)) for f in FILES}
     checkpoint = os.path.join(run_dir, "checkpoint")
@@ -100,12 +107,33 @@ def cell_hashes(name: str, out_dir: str) -> dict:
     stdout = _sgds("eval", checkpoint, _write_config(
         os.path.join(out_dir, "cell.cfg"), values))
     hashes["eval"] = hashlib.sha256(stdout.encode()).hexdigest()
+    hashes["losses"] = hashlib.sha256(b"".join(
+        np.asarray(log.epoch_losses, dtype=np.float64).tobytes()
+        for log in result.state.task_logs)).hexdigest()
     return hashes
 
 
 def _goldens() -> dict:
     with open(GOLDENS_PATH) as f:
         return json.load(f)
+
+
+def pin_report(old: dict, new: dict) -> list[str]:
+    """One line per cell whose pin a re-pin adds, changes or drops."""
+    lines = []
+    for name in sorted({*old, *new}):
+        before, after = old.get(name), new.get(name)
+        if before is None or after is None:
+            lines.append(f"{name}: cell {'added' if before is None else 'dropped'}")
+            continue
+        parts = [f"{what} {', '.join(keys)}" for what, keys in (
+            ("added", sorted(set(after) - set(before))),
+            ("changed", sorted(k for k in set(before) & set(after)
+                               if before[k] != after[k])),
+            ("dropped", sorted(set(before) - set(after)))) if keys]
+        if parts:
+            lines.append(f"{name}: {'; '.join(parts)}")
+    return lines
 
 
 def test_every_cell_is_pinned():
@@ -117,13 +145,26 @@ def test_cell_reproduces_its_pinned_hashes(name, tmp_path):
     assert cell_hashes(name, str(tmp_path)) == _goldens()[name]
 
 
+def test_pin_report_names_added_changed_and_dropped_keys():
+    old = {"a": {"x": "1", "y": "2"}, "b": {"x": "1"}, "gone": {"x": "1"}}
+    new = {"a": {"x": "1", "y": "3", "z": "4"}, "b": {"x": "1"},
+           "new": {"x": "1"}}
+    assert pin_report(old, new) == ["a: added z; changed y", "gone: cell dropped",
+                                    "new: cell added"]
+    assert pin_report(new, {"a": {"x": "1"}, "b": new["b"], "new": new["new"]}) == [
+        "a: dropped y, z"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--pin"]:
         sys.exit("usage: python tests/test_sweep.py --pin")
+    old = _goldens() if os.path.exists(GOLDENS_PATH) else {}
     with tempfile.TemporaryDirectory() as tmp:
         pins = {name: cell_hashes(name, os.path.join(tmp, name))
                 for name in sorted(CELLS)}
     with open(GOLDENS_PATH, "w") as f:
         json.dump(pins, f, indent=2, sort_keys=True)
         f.write("\n")
+    print(*pin_report(old, pins) or ["no hash added, changed or dropped"],
+          sep="\n")
     print(f"pinned {len(pins)} cells in {GOLDENS_PATH}")
