@@ -15,6 +15,10 @@ from .numerics import ContractViolation, NumericError, cosine_lr, sgd_step
 from .rng import TAG_ALIGN, TAG_MASK, TAG_SHUFFLE, stream_rng, stream_uniforms
 
 VAR_FLOOR = 1e-6
+# param_reg mode -> the penalised sides, as (parameter prefix, Adapter.layers
+# index), in the penalty's summation order: down before up
+PENALISED = {"off": (), "down": (("wd", 0),), "up": (("wu", 1),),
+             "both": (("wd", 0), ("wu", 1))}
 
 
 @dataclass
@@ -36,7 +40,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.se_enabled and self.ac_enabled and self.epochs < 2:
             raise ContractViolation("need >= 2 epochs when both phases enabled")
-        if self.param_reg_mode not in ("off", "up", "down", "both"):
+        if self.param_reg_mode not in PENALISED:
             raise ContractViolation(f"bad param_reg mode {self.param_reg_mode!r}")
 
 
@@ -173,7 +177,9 @@ class BatchTape:
     features: np.ndarray
     classifier: np.ndarray  # old-class head rows; their logits come first
     dlogits: np.ndarray     # d loss / d logits
-    penalty: list[tuple[str, np.ndarray, np.ndarray]]  # (param, W W_prev^T, W_prev)
+    # per penalised parameter W: (its name, W W_prev^T per previous adapter,
+    # the W_prev^T stack), in the order of ``penalty_stacks``
+    penalty: list[tuple[str, np.ndarray, np.ndarray]]
     reg_lambda: float
 
 
@@ -189,7 +195,17 @@ def _frozen_prefix(state, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def build_batch_tape(state, params, x, slots, cfg, phase, counters, prior, mask_u):
+def penalty_stacks(adapters, target_layers, mode: str) -> dict[str, np.ndarray]:
+    """Each penalised parameter's previous-adapter ``W_prev^T``, stacked:
+    ``(m, rank, d)`` for ``wd_<l>`` and ``(m, d, rank)`` for ``wu_<l>``, keyed
+    by layer, then down before up.  A task builds them once: its adapters
+    commit only at its end."""
+    return {f"{p}_{l}": np.stack([prev.layers[l][i].T for prev in adapters])
+            for l in target_layers for p, i in PENALISED[mode] if adapters}
+
+
+def build_batch_tape(state, params, x, slots, cfg, phase, counters, prior, mask_u,
+                     prev):
     """Forward pass of one batch from the first target layer; returns (tape, loss).
 
     ``x`` is the batch's input to the first target layer, ``_frozen_prefix``
@@ -201,9 +217,16 @@ def build_batch_tape(state, params, x, slots, cfg, phase, counters, prior, mask_
     ``wd_<l>``/``wu_<l>`` per target layer to the arrays ``sgd_step`` updates.
     ``mask_u`` maps each target layer to the batch's ``(B, width)`` mask
     uniforms; it is read only when ``state.masked`` and the phase is on.
-    The orthogonality penalty runs against every adapter in
-    ``state.adapters``.
+    ``prev`` is ``penalty_stacks`` of ``state.adapters``: the orthogonality
+    penalty runs against every one of them, and stacks that do not match
+    the adapters and the mode raise rather than drop the penalty.
     """
+    m = len(state.adapters)
+    names = [f"{p}_{l}" for l in state.target_layers
+             for p, _ in PENALISED[cfg.param_reg_mode]] if m else []
+    if [*prev] != names or any(len(w) != m for w in prev.values()):
+        raise ContractViolation(
+            "penalty stacks do not match the previous adapters and param_reg mode")
     phase_on = _phase_on(cfg, phase)
     nodes = []
     a = x
@@ -243,20 +266,17 @@ def build_batch_tape(state, params, x, slots, cfg, phase, counters, prior, mask_
     dlogits[rows, labels] -= 1.0
     dlogits /= len(labels)
 
-    # orthogonality penalty: sum of ||W W_prev^T||_F^2 over previous tasks
-    penalty = []
-    if cfg.param_reg_mode != "off":
-        for l in state.target_layers:
-            for prev in state.adapters:
-                pd, pu = prev.layers[l]
-                if cfg.param_reg_mode in ("down", "both"):
-                    penalty.append((f"wd_{l}", params[f"wd_{l}"] @ pd.T, pd))
-                if cfg.param_reg_mode in ("up", "both"):
-                    penalty.append((f"wu_{l}", params[f"wu_{l}"] @ pu.T, pu))
+    # orthogonality penalty λ·Σ_l Σ_prev ||W W_prev^T||_F^2: one broadcast
+    # matmul per penalised parameter, one pairwise sum per previous adapter
+    penalty = [(name, params[name] @ w, w) for name, w in prev.items()]
     if penalty:
+        sums = np.array([np.square(v).reshape(m, -1).sum(axis=1)
+                         for _, v, _ in penalty])
         pen = 0.0
-        for _, v, _ in penalty:
-            pen += np.sum(v * v)
+        # added one at a time in a fixed order: layer, previous adapter, side
+        for term in sums.reshape(len(state.target_layers), -1, m).transpose(
+                0, 2, 1).ravel().tolist():
+            pen += term
         loss = loss + pen * cfg.param_reg_lambda
     _check_finite("loss", loss)
     tape = BatchTape(nodes, a, state.classifier, dlogits, penalty,
@@ -271,13 +291,17 @@ def _accumulate(grads: dict, name: str, g: np.ndarray) -> None:
 def backward(tape: BatchTape, params: dict) -> dict:
     """Gradients of the batch loss, keyed like ``params``.
 
-    Each sum runs in one fixed order (penalty terms last to first, then the
-    data term; at a block input the adapter, residual and MLP paths, then
-    the mask), so a run repeats bit for bit.
+    Each sum runs in one fixed order (a penalised parameter's terms from the
+    last previous adapter to the first, then the data term; at a block input
+    the adapter, residual and MLP paths, then the mask), so a run repeats
+    bit for bit.
     """
     grads: dict[str, np.ndarray] = {}
-    for name, v, w_prev in reversed(tape.penalty):
-        _accumulate(grads, name, (tape.reg_lambda * 2.0 * v) @ w_prev)
+    for name, v, w in reversed(tape.penalty):
+        # the terms come out last adapter first and contiguous, so the
+        # reduce over axis 0 adds them one after another in that order
+        terms = (tape.reg_lambda * 2.0 * v[::-1]) @ w[::-1].transpose(0, 2, 1)
+        grads[name] = np.add.reduce(terms, axis=0)
     n_old = len(tape.classifier)
     g_new = tape.dlogits[:, n_old:]
     grads["head_new"] = tape.features.T @ g_new
@@ -346,6 +370,7 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     # the frozen prefix runs once per task; a 1-row batch runs its own, since
     # NumPy sends a 1-row matmul to BLAS gemv, which rounds unlike gemm
     hoisted = _frozen_prefix(state, task.train_x)
+    prev = penalty_stacks(state.adapters, state.target_layers, cfg.param_reg_mode)
     velocity = {}
     epoch_losses, epoch_phases = [], []
     n = len(task.train_y)
@@ -367,7 +392,7 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
                          if len(idx) == 1 else hoisted[idx])
                     tape, loss = build_batch_tape(
                         state, params, x, slots[idx], cfg,
-                        phase, counters, prior, mask_u)
+                        phase, counters, prior, mask_u, prev)
                     sgd_step(params, backward(tape, params), velocity, lr,
                              cfg.momentum, cfg.weight_decay)
                 for name, p in params.items():

@@ -6,7 +6,8 @@ from sgds.model import (Adapter, Block, FrozenBackbone, block_forward,
                         extract, layer_bitmap, load_adapter, merge_universal,
                         save_adapter)
 from sgds.numerics import ContractViolation
-from sgds.training import ContinualState, TrainConfig, build_batch_tape
+from sgds.training import (ContinualState, TrainConfig, build_batch_tape,
+                           penalty_stacks)
 
 
 def zero_block(d):
@@ -161,8 +162,9 @@ def orthogonality_penalty(cur, previous, mode):
                           param_reg_mode=m, param_reg_lambda=1.0)
         state = ContinualState(FrozenBackbone.create(max(layers) + 1, d),
                                layers, 0.6, False, adapters=list(previous))
-        losses.append(build_batch_tape(state, params, x, np.array([0, 1]),
-                                       cfg, Phase.EXPLORATION, 0, {}, {})[1])
+        losses.append(build_batch_tape(
+            state, params, x, np.array([0, 1]), cfg, Phase.EXPLORATION, 0, {},
+            {}, penalty_stacks(state.adapters, layers, m))[1])
     return losses[1] - losses[0]
 
 

@@ -13,7 +13,7 @@ from sgds.model import Adapter, FrozenBackbone
 from sgds.numerics import ContractViolation, NumericError, cosine_lr, sgd_step
 from sgds import training
 from sgds.training import (ContinualState, TrainConfig, backward,
-                           build_batch_tape, train_task)
+                           build_batch_tape, penalty_stacks, train_task)
 
 
 def engine_graph(seed, d, r, layers=1, targets=(0,), masked=False, n_old=0,
@@ -47,7 +47,8 @@ def engine_graph(seed, d, r, layers=1, targets=(0,), masked=False, n_old=0,
         counters = ActivationCounters(targets, d)
         counters.add_task(range(n_old, n_old + n_new))
         return build_batch_tape(state, p, x, y - n_old, cfg,
-                                Phase.EXPLORATION, counters, {}, mask_u)
+                                Phase.EXPLORATION, counters, {}, mask_u,
+                                penalty_stacks(prev, targets, reg))
 
     return params, loss_fn
 
@@ -84,7 +85,7 @@ def single_row(logits, label, d=8):
 
     def run():
         return build_batch_tape(state, params, x, np.array([label]), cfg,
-                                Phase.EXPLORATION, 0, {}, {})
+                                Phase.EXPLORATION, 0, {}, {}, {})
 
     f = run()[0].features[0]
     params["head_new"] = np.outer(f, logits) / (f @ f)
@@ -160,6 +161,8 @@ def test_gradients_match_finite_differences_through_frozen_blocks():
                                    batch=4)
     tape = loss_fn(params)[0]
     assert [n.layer for n in tape.nodes] == [1, 2, 3]
+    assert [(name, len(v)) for name, v, _ in tape.penalty] == [
+        ("wd_1", 2), ("wu_1", 2), ("wd_3", 2), ("wu_3", 2)]
     assert [n.mask is not None for n in tape.nodes] == [True, False, True]
     assert 0 < tape.nodes[2].mask.sum() < tape.nodes[2].mask.size
     assert max_rel_error_vs_fd(params, loss_fn) < 1e-4
@@ -186,6 +189,78 @@ def test_tape_determinism():
     assert l1 == l2
     for k in g1:
         np.testing.assert_array_equal(g1[k], g2[k])
+
+
+def _penalty_per_adapter(state, params, mode, lam):
+    """Reference: the penalty and its gradients as one matmul per layer,
+    previous adapter and side, summed in the engine's order."""
+    terms = []
+    for l in state.target_layers:
+        for prev in state.adapters:
+            pd, pu = prev.layers[l]
+            if mode in ("down", "both"):
+                terms.append((f"wd_{l}", params[f"wd_{l}"] @ pd.T, pd))
+            if mode in ("up", "both"):
+                terms.append((f"wu_{l}", params[f"wu_{l}"] @ pu.T, pu))
+    pen = 0.0
+    for _, v, _ in terms:
+        pen += np.sum(v * v)
+    grads = {}
+    for name, v, w_prev in reversed(terms):
+        g = (lam * 2.0 * v) @ w_prev
+        grads[name] = grads[name] + g if name in grads else g
+    return pen, grads
+
+
+@pytest.mark.parametrize("batch", [1, 48])
+@pytest.mark.parametrize("targets", [(3,), (0, 2), (0, 1, 2, 3)])
+@pytest.mark.parametrize("n_prev", [0, 1, 2, 9])
+@pytest.mark.parametrize("mode", ["up", "down", "both"])
+def test_penalty_matches_the_per_adapter_loop_bit_for_bit(mode, n_prev, targets,
+                                                          batch):
+    d, r, lam = 64, 16, 0.1
+    rng = np.random.default_rng([n_prev, batch, *targets])
+    params = {"head_new": rng.normal(size=(d, 5))}
+    for l in targets:
+        params[f"wd_{l}"] = rng.normal(size=(d, r)) * 0.1
+        params[f"wu_{l}"] = rng.normal(size=(r, d)) * 0.1
+    prev = [Adapter(t, r, {l: (rng.normal(size=(d, r)), rng.normal(size=(r, d)))
+                           for l in targets}) for t in range(n_prev)]
+    state = ContinualState(FrozenBackbone.create(4, d), targets, 0.6, False,
+                           adapters=prev, classifier=rng.normal(size=(3, d)))
+    x, slots = rng.normal(size=(batch, d)), rng.integers(0, 5, size=batch)
+
+    def run(m):
+        cfg = TrainConfig(epochs=1, se_enabled=False, ac_enabled=False,
+                          param_reg_mode=m, param_reg_lambda=lam)
+        tape, loss = build_batch_tape(state, params, x, slots, cfg,
+                                      Phase.EXPLORATION, None, {}, {},
+                                      penalty_stacks(prev, targets, m))
+        return loss, backward(tape, params)
+
+    loss, grads = run(mode)
+    data_loss, data_grads = run("off")
+    pen, pen_grads = _penalty_per_adapter(state, params, mode, lam)
+    assert loss == float(data_loss + pen * lam)
+    assert sorted(grads) == sorted(data_grads)
+    for name, g in data_grads.items():
+        want = pen_grads[name] + g if name in pen_grads else g
+        assert grads[name].tobytes() == want.tobytes(), name
+
+
+def test_penalty_without_its_stacks_raises():
+    adapter = Adapter(0, 2, {0: (np.zeros((6, 2)), np.zeros((2, 6)))})
+    state = ContinualState(FrozenBackbone.create(1, 6), (0,), 0.6, False,
+                           adapters=[adapter])
+    x = np.zeros((3, 6))
+    for mode, prev in (("both", {}), ("up", {"wu_0": np.zeros((2, 6, 2))}),
+                       ("both", penalty_stacks(state.adapters, (0,), "up")),
+                       ("off", penalty_stacks(state.adapters, (0,), "down"))):
+        cfg = TrainConfig(epochs=1, se_enabled=False, ac_enabled=False,
+                          param_reg_mode=mode)
+        with pytest.raises(ContractViolation, match="penalty stacks"):
+            build_batch_tape(state, {}, x, np.zeros(3, dtype=np.int64), cfg,
+                             Phase.EXPLORATION, None, {}, {}, prev)
 
 
 def test_cosine_lr_endpoints_and_midpoint():

@@ -266,6 +266,33 @@ def test_frozen_prefix_runs_once_per_task_not_per_batch(batch, monkeypatch):
     assert calls == {0: 1 + one_row + 2, 1: 1 + one_row + 2}
 
 
+@pytest.mark.parametrize("batch", [1, 16, 47])
+def test_penalty_stacks_are_built_once_per_task_not_per_batch(batch, monkeypatch):
+    built, passed = [], []
+    stacks, tape = training.penalty_stacks, training.build_batch_tape
+
+    def counting_stacks(*args):
+        built.append(stacks(*args))
+        return built[-1]
+
+    def recording_tape(*args):
+        passed.append(args[-1])
+        return tape(*args)
+
+    monkeypatch.setattr(training, "penalty_stacks", counting_stacks)
+    monkeypatch.setattr(training, "build_batch_tape", recording_tape)
+    cfg = small_config(batch=batch, param_reg_mode="both")
+    state, want = fresh_state(), []
+    for t, task in enumerate(small_stream(tasks=2).tasks):
+        train_task(state, task, cfg, run_seed=3)
+        want += [t] * (cfg.epochs * -(-len(task.train_y) // batch))
+    assert built[0] == {} and len(built) == 2
+    assert {name: w.shape for name, w in built[1].items()} == {
+        "wd_1": (1, 4, 16), "wu_1": (1, 16, 4)}
+    assert len(passed) == len(want)
+    assert all(p is built[t] for t, p in zip(want, passed))
+
+
 @pytest.mark.parametrize("se, ac", [(True, False), (False, True)])
 def test_an_epoch_whose_phase_is_off_draws_no_mask_uniforms(se, ac, monkeypatch):
     drawn = []
@@ -299,7 +326,7 @@ def _batch_tape_for(cfg, masked=True):
     prior = {1: (state.counters.f_c[1].sum(axis=0), {})}
     tape, _ = build_batch_tape(
         state, params, _frozen_prefix(state, task.train_x[:8]), slots, cfg,
-        Phase.EXPLORATION, counters, prior, {1: np.full((8, 16), 0.5)})
+        Phase.EXPLORATION, counters, prior, {1: np.full((8, 16), 0.5)}, {})
     assert state.counters.f_c[1].shape == (0, 16)  # the state is only read
     return tape, counters.f_c[1].sum(axis=0) - before
 
