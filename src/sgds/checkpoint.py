@@ -47,8 +47,6 @@ def load_state(dirpath, backbone: FrozenBackbone) -> ContinualState:
     if d != backbone.width:
         raise ContractViolation("checkpoint width does not match backbone")
     target_layers = tuple(l for l in range(64) if bitmap & (1 << l))
-    if target_layers and target_layers[-1] >= backbone.num_blocks:
-        raise ContractViolation("checkpoint target layer out of backbone range")
     class_ids, class_stats, rows = [], {}, []
     for _ in range(n_classes):
         (c,) = r.unpack("<I", "class id")

@@ -227,10 +227,8 @@ class RunResult:
     task_seconds: list[float] = field(default_factory=list)
 
 
-def run_single(cfg: Config, seed: int, stream=None) -> RunResult:
-    """Train every task sequentially and evaluate after each one."""
-    if stream is None:
-        stream = build_stream(cfg, seed)
+def run_single(cfg: Config, seed: int, stream) -> RunResult:
+    """Train every task of ``stream`` in order and evaluate after each one."""
     tcfg = cfg.train_config()
     backbone = FrozenBackbone.create(cfg["model.layers"], cfg["model.dim"])
     state = ContinualState(backbone, cfg.target_layers, cfg["sgds.k"],

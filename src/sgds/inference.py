@@ -4,19 +4,18 @@ from __future__ import annotations
 import numpy as np
 
 from .masking import top_k_mask
-from .model import Adapter, FrozenBackbone, extract, merge_universal
+from .model import Adapter, extract, merge_universal
 from .numerics import ContractViolation
 
 
-def embed(x: np.ndarray, backbone: FrozenBackbone,
-          adapters: list[Adapter | None], target_layers: tuple[int, ...],
-          k: float, masked: bool) -> list[np.ndarray]:
-    """Final-block embedding per adapter; deterministic Top-K at target layers if masked."""
+def embed(x: np.ndarray, state, adapters: list[Adapter]) -> list[np.ndarray]:
+    """Final-block embedding per adapter under the state's backbone, target
+    layers and masking switch: deterministic Top-``k`` at target layers if masked."""
     hook = None
-    if masked:
+    if state.masked:
         def hook(layer, a):
-            return a * top_k_mask(a, k)
-    return extract(x, backbone, adapters, target_layers, hook)
+            return a * top_k_mask(a, state.k)
+    return extract(x, state.backbone, adapters, state.target_layers, hook)
 
 
 def _entropy(probs: np.ndarray) -> np.ndarray:
@@ -58,9 +57,8 @@ def predict(x: np.ndarray, state) -> np.ndarray:
     if not state.adapters:
         raise ContractViolation("no trained adapter to select from")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    *feats, uni_feats = embed(x, state.backbone,
-                              [*state.adapters, _universal_adapter(state)],
-                              state.target_layers, state.k, state.masked)
+    *feats, uni_feats = embed(x, state,
+                              [*state.adapters, _universal_adapter(state)])
     per_adapter = np.stack([f @ state.classifier.T for f in feats])
     t_star = select_by_entropy(per_adapter)
     total = (per_adapter[t_star, np.arange(x.shape[0])]

@@ -98,40 +98,44 @@ def adapter_term(x: np.ndarray, adapter_weights: tuple[np.ndarray, np.ndarray]
     return z, np.maximum(z, 0.0) @ w_up
 
 
-def extract(x: np.ndarray, backbone: FrozenBackbone,
-            adapters: list[Adapter | None], target_layers: tuple[int, ...],
-            mask_hook=None) -> list[np.ndarray]:
-    """Run the backbone under each adapter; returns one φ(x) per entry.
+def frozen_forward(x: np.ndarray, blocks) -> np.ndarray:
+    """``x`` through frozen blocks in order, with no adapter and no mask."""
+    for block in blocks:
+        x = block_forward(x, block)
+    return x
 
-    A ``None`` entry is the bare backbone.  ``mask_hook(layer, x) -> x`` is
-    applied only at target layers, to the activation before it is fed to the
-    block.  Up to the first layer that is a target or holds adapter weights
-    every entry sees the same activation, so the blocks before it, the hook
+
+def extract(x: np.ndarray, backbone: FrozenBackbone, adapters: list[Adapter],
+            target_layers: tuple[int, ...], mask_hook=None) -> list[np.ndarray]:
+    """Run the backbone under each adapter; returns one φ(x) per adapter.
+
+    Every adapter holds weights at exactly ``target_layers``.
+    ``mask_hook(layer, x) -> x`` is applied only at target layers, to the
+    activation before it is fed to the block.  Up to the first target layer
+    every adapter sees the same activation, so the blocks before it, the hook
     there and that block's frozen ``x + MLP(x)`` run once; the adapter terms
-    and the later blocks run per entry.  Each output is the same floats as a
-    pass with that entry alone: every matmul sees the same operands.
+    and the later blocks run per adapter.  Each output is the same floats as
+    a pass with that adapter alone: every matmul sees the same operands.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ContractViolation("empty input")
-    if any(l < 0 or l >= backbone.num_blocks for l in target_layers):
-        raise ContractViolation("target layer out of range")
-    weights = [{} if a is None else a.layers for a in adapters]
-    split = min((*target_layers, *(l for w in weights for l in w),
-                 backbone.num_blocks))
-    a = x
-    for block in backbone.blocks[:split]:
-        a = block_forward(a, block)
-    if split == backbone.num_blocks:
-        return [a] * len(weights)
-    if mask_hook is not None and split in target_layers:
-        a = mask_hook(split, a)
-    base = block_forward(a, backbone.blocks[split])
+    layers = tuple(sorted(target_layers))
+    if not layers or layers[0] < 0 or layers[-1] >= backbone.num_blocks:
+        raise ContractViolation("target layers empty or out of range")
+    if any(a.target_layers != layers for a in adapters):
+        raise ContractViolation("adapter layers differ from the target layers")
+    first = layers[0]
+    a = frozen_forward(x, backbone.blocks[:first])
+    if mask_hook is not None:
+        a = mask_hook(first, a)
+    base = block_forward(a, backbone.blocks[first])
     feats = []
-    for w in weights:
-        h = base + adapter_term(a, w[split])[1] if split in w else base
-        for l in range(split + 1, backbone.num_blocks):
-            if mask_hook is not None and l in target_layers:
+    for adapter in adapters:
+        w = adapter.layers
+        h = base + adapter_term(a, w[first])[1]
+        for l in range(first + 1, backbone.num_blocks):
+            if mask_hook is not None and l in w:
                 h = mask_hook(l, h)
             h = block_forward(h, backbone.blocks[l], w.get(l))
         feats.append(h)

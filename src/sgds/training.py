@@ -10,7 +10,7 @@ from .inference import embed
 from .masking import (ActivationCounters, Phase, SemanticProfile, Strategy,
                       dispatch_probability, formulate_strategy, relation_distribution,
                       reuse_probability, sparsify_and_record)
-from .model import Adapter, Block, FrozenBackbone, adapter_term
+from .model import Adapter, Block, FrozenBackbone, adapter_term, frozen_forward
 from .numerics import ContractViolation, NumericError, cosine_lr, sgd_step
 from .rng import TAG_ALIGN, TAG_MASK, TAG_SHUFFLE, stream_rng, stream_uniforms
 
@@ -74,7 +74,13 @@ class ContinualState:
         if not 0.0 < self.k <= 1.0:
             raise ContractViolation(
                 f"sparsity ratio k must be in (0, 1], got {self.k}")
-        self.target_layers = tuple(sorted(self.target_layers))
+        self.target_layers = layers = tuple(sorted(self.target_layers))
+        if not layers:
+            raise ContractViolation(
+                "no target layer: a state needs one for its adapters and masks")
+        if layers[0] < 0 or layers[-1] >= self.backbone.num_blocks:
+            raise ContractViolation(f"target layers {layers} are not blocks "
+                                    f"of the {self.backbone.num_blocks}-block backbone")
         if self.classifier is None:
             self.classifier = np.zeros((0, self.backbone.width))
         if self.counters is None:
@@ -188,13 +194,6 @@ def _check_finite(name: str, value) -> None:
         raise NumericError(f"non-finite {name}")
 
 
-def _frozen_prefix(state, x: np.ndarray) -> np.ndarray:
-    """``x`` through the frozen blocks before the first target layer."""
-    for block in state.backbone.blocks[:state.target_layers[0]]:
-        x = x + block.mlp(x)[1]
-    return x
-
-
 def penalty_stacks(adapters, target_layers, mode: str) -> dict[str, np.ndarray]:
     """Each penalised parameter's previous-adapter ``W_prev^T``, stacked:
     ``(m, rank, d)`` for ``wd_<l>`` and ``(m, d, rank)`` for ``wu_<l>``, keyed
@@ -208,13 +207,14 @@ def build_batch_tape(state, params, x, slots, cfg, phase, counters, prior, mask_
                      prev):
     """Forward pass of one batch from the first target layer; returns (tape, loss).
 
-    ``x`` is the batch's input to the first target layer, ``_frozen_prefix``
-    of its rows.  ``slots`` holds each row's index in the task's class list;
-    the row's logit column is its slot after the old-class head rows, and it
-    counts into row ``slot`` of the task's own ``counters``.  ``prior`` maps each
-    target layer to ``F_old``, the earlier tasks' ``F``, and the task's reuse
-    vectors by slot.  ``params`` maps ``head_new`` and
-    ``wd_<l>``/``wu_<l>`` per target layer to the arrays ``sgd_step`` updates.
+    ``x`` is the batch's input to the first target layer: its rows through
+    the frozen blocks before it (``frozen_forward``).  ``slots`` holds each
+    row's index in the task's class list; the row's logit column is its slot
+    after the old-class head rows, and it counts into row ``slot`` of the
+    task's own ``counters``.  ``prior`` maps each target layer to ``F_old``,
+    the earlier tasks' ``F``, and the task's reuse vectors by slot.
+    ``params`` maps ``head_new`` and ``wd_<l>``/``wu_<l>`` per target layer
+    to the arrays ``sgd_step`` updates.
     ``mask_u`` maps each target layer to the batch's ``(B, width)`` mask
     uniforms; it is read only when ``state.masked`` and the phase is on.
     ``prev`` is ``penalty_stacks`` of ``state.adapters``: the orthogonality
@@ -339,11 +339,16 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
         raise ContractViolation("task classes overlap previously seen classes")
     task_index = len(state.adapters)
     d = state.backbone.width
+    blocks, first = state.backbone.blocks, state.target_layers[0]
 
-    # phase 1: semantic strategy formulation on frozen-backbone prototypes
-    frozen = compute_prototypes(
-        embed(task.train_x, state.backbone, [None], state.target_layers,
-              state.k, masked=False)[0], task.train_y)
+    # the frozen prefix runs once per task; a 1-row batch runs its own, since
+    # NumPy sends a 1-row matmul to BLAS gemv, which rounds unlike gemm
+    hoisted = frozen_forward(task.train_x, blocks[:first])
+
+    # phase 1: semantic strategy formulation on frozen-backbone prototypes,
+    # the prefix through the remaining blocks with no mask and no adapter
+    frozen = compute_prototypes(frozen_forward(hoisted, blocks[first:]),
+                                task.train_y)
     old = tuple(state.class_ids)
     pool = {**state.frozen_prototypes, **frozen}
     profiles = [formulate_strategy(c, relation_distribution(c, pool), old,
@@ -367,9 +372,6 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     slot_of = {c: i for i, c in enumerate(task.classes)}
     slots = np.array([slot_of[int(c)] for c in task.train_y], dtype=np.int64)
 
-    # the frozen prefix runs once per task; a 1-row batch runs its own, since
-    # NumPy sends a 1-row matmul to BLAS gemv, which rounds unlike gemm
-    hoisted = _frozen_prefix(state, task.train_x)
     prev = penalty_stacks(state.adapters, state.target_layers, cfg.param_reg_mode)
     velocity = {}
     epoch_losses, epoch_phases = [], []
@@ -388,7 +390,7 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
             mask_u = {l: u[start:start + cfg.batch] for l, u in epoch_u.items()}
             try:  # the finite checks, not NumPy warnings, report an overflow
                 with np.errstate(over="ignore", invalid="ignore"):
-                    x = (_frozen_prefix(state, task.train_x[idx])
+                    x = (frozen_forward(task.train_x[idx], blocks[:first])
                          if len(idx) == 1 else hoisted[idx])
                     tape, loss = build_batch_tape(
                         state, params, x, slots[idx], cfg,
@@ -406,8 +408,7 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
 
     # phase 3: statistics, alignment, classifier rebuild
     # the new adapter's features, then the previous adapter's for the drift
-    feats = embed(task.train_x, state.backbone, [adapter, *state.adapters[-1:]],
-                  state.target_layers, state.k, state.masked)
+    feats = embed(task.train_x, state, [adapter, *state.adapters[-1:]])
     aligned = align_old_prototypes(state, feats[0], feats[-1],
                                    cfg.align_samples, run_seed, task_index)
     class_stats = {c: (aligned.get(c, mean), var)

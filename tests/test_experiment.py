@@ -481,6 +481,28 @@ def test_cli_eval_rejects_bad_k_in_checkpoint(saved_run, tmp_path, capsys, k):
             == f"error: sparsity ratio k must be in (0, 1], got {k}\n")
 
 
+def test_cli_eval_rejects_checkpoint_without_target_layers(saved_run, tmp_path,
+                                                           capsys):
+    # task 1 of the saved run, its stats.bin and adapter both with layer
+    # bitmap 0: no run writes this, and it would score the bare backbone
+    cfg_path, ckpt = saved_run
+    bad = tmp_path / "ckpt"
+    bad.mkdir()
+    stats = bytearray((ckpt / "stats.bin").read_bytes())
+    # header: magic, version, class count, dim, then the layer bitmap
+    assert struct.unpack_from("<IQ", stats, 16) == (16, 1 << 1)
+    struct.pack_into("<IIQ", stats, 12, 2, 16, 0)
+    # a 37-byte header, then per class its id and three rows of 16 floats
+    (bad / "stats.bin").write_bytes(bytes(stats[:37 + 2 * (4 + 3 * 16 * 8)]))
+    adapter = bytearray((ckpt / "adapter_000.sgdsadp").read_bytes()[:32])
+    struct.pack_into("<Q", adapter, 24, 0)  # the header's last field
+    (bad / "adapter_000.sgdsadp").write_bytes(bytes(adapter))
+    assert main(["eval", str(bad), str(cfg_path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: no target layer: a state needs one for its adapters "
+        "and masks\n")
+
+
 # stats.bin: a 37-byte header, then per class its id and three rows of 16
 # floats (mean, variance, classifier row); an adapter file: a 32-byte header,
 # then W_down (16 x 4) and W_up (4 x 16) of layer 1
@@ -608,7 +630,7 @@ def test_checkpoint_state_round_trip(tmp_path):
     from sgds.checkpoint import load_state, save_state
     from sgds.model import FrozenBackbone
     cfg = parse_config(quick_config(tmp_path))
-    res = run_single(cfg, 1993)
+    res = run_single(cfg, 1993, stream=build_stream(cfg, 1993))
     ck = tmp_path / "ck"
     save_state(str(ck), res.state)
     backbone = FrozenBackbone.create(cfg["model.layers"], cfg["model.dim"])

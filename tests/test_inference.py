@@ -31,8 +31,7 @@ def make_state(n_adapters=3, n_classes=4, d=8, seed=0, masked=False):
 
 def adapter_logits(x, state, adapter):
     """One adapter's logits, from a pass of its own."""
-    (feats,) = embed(x, state.backbone, [adapter], state.target_layers,
-                     state.k, state.masked)
+    (feats,) = embed(x, state, [adapter])
     return feats @ state.classifier.T
 
 
@@ -122,7 +121,8 @@ def test_ensemble_scale_invariance():
 
 
 def test_masked_embedding_respects_sparsity():
-    backbone = FrozenBackbone.create(2, 10)
+    state = ContinualState(FrozenBackbone.create(2, 10), (1,), 0.5, True)
+    adapter = Adapter.create(0, 10, 2, (1,), seed=0)  # zero W_up: a no-op
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 10))
     hook_seen = {}
@@ -132,11 +132,12 @@ def test_masked_embedding_respects_sparsity():
         return hook_seen[layer]
 
     from sgds.model import extract
-    (masked,) = embed(x, backbone, [None], (1,), k=0.5, masked=True)
-    np.testing.assert_array_equal(extract(x, backbone, [None], (1,), probe)[0],
-                                  masked)
+    (masked,) = embed(x, state, [adapter])
+    np.testing.assert_array_equal(
+        extract(x, state.backbone, [adapter], (1,), probe)[0], masked)
     assert np.count_nonzero(hook_seen[1][0]) <= 5
-    (unmasked,) = embed(x, backbone, [None], (1,), k=0.5, masked=False)
+    state.masked = False
+    (unmasked,) = embed(x, state, [adapter])
     assert not np.allclose(masked, unmasked)
 
 
@@ -148,7 +149,7 @@ def test_evaluate_matrix_shape_and_perfect_classifier():
     state, rng = make_state(n_adapters=1, n_classes=2)
     # make class 0 and 1 perfectly separable through the classifier
     xs = np.vstack([np.ones((5, 8)), -np.ones((5, 8))])
-    (feats,) = embed(xs, state.backbone, state.adapters[:1], (1,), 0.6, False)
+    (feats,) = embed(xs, state, state.adapters[:1])
     state.classifier = np.stack([feats[:5].mean(axis=0), feats[5:].mean(axis=0)])
     state.class_ids = [0, 1]
     ys = np.array([0] * 5 + [1] * 5)
@@ -194,7 +195,7 @@ def one_pass(x, backbone, adapter, targets, k, masked):
     for l, block in enumerate(backbone.blocks):
         if masked and l in targets:
             a = a * top_k_mask(a, k)
-        a = block_forward(a, block, None if adapter is None else adapter.layers.get(l))
+        a = block_forward(a, block, adapter.layers.get(l))
     return a
 
 
@@ -203,22 +204,23 @@ def test_fan_out_equals_separate_passes(blocks):
     rng = np.random.default_rng(blocks)
     d, r, k = 8, 2, 0.6
     backbone = FrozenBackbone.create(blocks, d)
-    target_sets = {(), (0,), (blocks - 1,), tuple(range(0, blocks, 2))}
+    target_sets = {(0,), (blocks - 1,), tuple(range(0, blocks, 2))}
     if blocks >= 4:
         target_sets.add((1, 3))
     for targets in sorted(target_sets):
         for masked in (False, True):
             for n in (1, 37):
-                entries = [None, None] + [
+                state = ContinualState(backbone, targets, k, masked)
+                entries = [
                     Adapter(t, r, {l: (rng.normal(size=(d, r)),
                                        rng.normal(size=(r, d))) for l in targets})
                     for t in range(3)]
                 entries = [entries[i] for i in rng.permutation(len(entries))]
                 x = rng.normal(size=(n, d))
-                fanned = embed(x, backbone, entries, targets, k, masked)
+                fanned = embed(x, state, entries)
                 assert len(fanned) == len(entries)
                 for entry, f in zip(entries, fanned):
-                    (alone,) = embed(x, backbone, [entry], targets, k, masked)
+                    (alone,) = embed(x, state, [entry])
                     assert np.array_equal(f, alone)
                     assert np.array_equal(
                         f, one_pass(x, backbone, entry, targets, k, masked))

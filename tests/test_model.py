@@ -69,42 +69,59 @@ def test_block_forward_dim_mismatch():
 
 def test_extract_single_block_composition():
     backbone = FrozenBackbone.create(1, 6)
-    x = np.random.default_rng(1).normal(size=(2, 6))
-    (phi,) = extract(x, backbone, [None], target_layers=())
-    np.testing.assert_array_equal(phi, block_forward(x, backbone.blocks[0]))
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(2, 6))
+    adapter = rand_adapter(rng, d=6, layers=(0,))
+    (phi,) = extract(x, backbone, [adapter], (0,))
+    np.testing.assert_array_equal(
+        phi, block_forward(x, backbone.blocks[0], adapter.layers[0]))
 
 
 def test_extract_records_pre_adapter_activations():
     backbone = FrozenBackbone.create(3, 6)
-    x = np.random.default_rng(2).normal(size=(2, 6))
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(2, 6))
     seen = {}
 
     def probe(layer, a):
         seen[layer] = a
         return a
 
-    extract(x, backbone, [None], (1,), probe)
+    extract(x, backbone, [rand_adapter(rng, d=6, layers=(1,))], (1,), probe)
     assert list(seen) == [1]
     np.testing.assert_array_equal(seen[1], block_forward(x, backbone.blocks[0]))
 
 
 def test_extract_hook_only_on_target_layers():
     backbone = FrozenBackbone.create(3, 6)
-    x = np.random.default_rng(3).normal(size=(2, 6))
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(2, 6))
+    adapter = rand_adapter(rng, d=6, layers=(2,))
 
     def hook(layer, a):
         assert layer == 2
         return a
 
-    (masked,) = extract(x, backbone, [None], (2,), hook)
-    (plain,) = extract(x, backbone, [None], (2,))
+    (masked,) = extract(x, backbone, [adapter], (2,), hook)
+    (plain,) = extract(x, backbone, [adapter], (2,))
     np.testing.assert_array_equal(masked, plain)
 
 
 def test_extract_empty_input():
     backbone = FrozenBackbone.create(1, 4)
-    with pytest.raises(ContractViolation):
-        extract(np.zeros((0, 4)), backbone, [None], ())
+    adapter = rand_adapter(np.random.default_rng(4), layers=(0,))
+    with pytest.raises(ContractViolation, match="empty input"):
+        extract(np.zeros((0, 4)), backbone, [adapter], (0,))
+
+
+@pytest.mark.parametrize("adapter_layers, targets", [
+    ((1,), ()), ((1,), (2,)), ((0, 1), (1,)), ((1,), (0, 1))])
+def test_extract_takes_only_adapters_at_the_target_layers(adapter_layers,
+                                                          targets):
+    backbone = FrozenBackbone.create(2, 4)
+    adapter = rand_adapter(np.random.default_rng(5), layers=adapter_layers)
+    with pytest.raises(ContractViolation, match="target layers"):
+        extract(np.ones((1, 4)), backbone, [adapter], targets)
 
 
 def test_backbone_frozen_and_deterministic():

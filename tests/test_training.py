@@ -5,16 +5,15 @@ import pytest
 
 from sgds import training
 from sgds.checkpoint import load_state, save_state
-from sgds.data import SyntheticSpec, generate_synthetic
+from sgds.data import SyntheticSpec, compute_prototypes, generate_synthetic
 from sgds.inference import embed
 from sgds.masking import ActivationCounters, Phase, Strategy
-from sgds.model import Block, FrozenBackbone
+from sgds.model import Block, FrozenBackbone, block_forward, frozen_forward
 from sgds.numerics import ContractViolation, NumericError
 from sgds.rng import TAG_MASK, stream_rng, stream_uniforms
 from sgds.training import (ContinualState, TrainConfig, _epoch_mask_uniforms,
-                           _frozen_prefix, align_old_prototypes,
-                           build_batch_tape, build_classifier,
-                           fit_class_gaussians, train_task)
+                           align_old_prototypes, build_batch_tape,
+                           build_classifier, fit_class_gaussians, train_task)
 
 
 def small_config(**kw):
@@ -92,8 +91,7 @@ def test_align_noop_without_previous_adapter():
 
 def last_adapter_features(state, x):
     """``x`` through the newest adapter, as ``train_task`` embeds it."""
-    (feats,) = embed(x, state.backbone, state.adapters[-1:],
-                     state.target_layers, state.k, state.masked)
+    (feats,) = embed(x, state, state.adapters[-1:])
     return feats
 
 
@@ -245,8 +243,9 @@ def test_a_task_that_raises_leaves_the_state_as_it_was():
 
 @pytest.mark.parametrize("batch", [16, 47])
 def test_frozen_prefix_runs_once_per_task_not_per_batch(batch, monkeypatch):
-    # blocks 0 and 1 come before the first target layer; a 1-row batch runs
-    # its own prefix, and each of the task's two embed calls runs it once
+    # blocks 0 and 1 come before the first target layer; the task runs them
+    # once for its batches and its frozen prototypes, a 1-row batch runs its
+    # own prefix, and the task's one embed call runs it once
     state = ContinualState(FrozenBackbone.create(4, 16), (2, 3), 0.6, True)
     prefix = {id(b): l for l, b in enumerate(state.backbone.blocks[:2])}
     calls = dict.fromkeys(prefix.values(), 0)
@@ -263,7 +262,24 @@ def test_frozen_prefix_runs_once_per_task_not_per_batch(batch, monkeypatch):
     assert len(task.train_y) == 48  # batch 47 leaves a 1-row tail per epoch
     train_task(state, task, cfg, run_seed=3)
     one_row = cfg.epochs if batch == 47 else 0
-    assert calls == {0: 1 + one_row + 2, 1: 1 + one_row + 2}
+    assert calls == {0: 1 + one_row + 1, 1: 1 + one_row + 1}
+
+
+@pytest.mark.parametrize("targets", [(0,), (1,), (2, 3)])
+@pytest.mark.parametrize("masked", [True, False])
+def test_frozen_prototypes_are_the_plain_frozen_backbone(targets, masked):
+    state = ContinualState(FrozenBackbone.create(4, 16), targets, 0.6, masked)
+    cfg = small_config()
+    want = {}
+    for task in small_stream(tasks=2).tasks:
+        a = task.train_x
+        for block in state.backbone.blocks:  # no adapter and no mask
+            a = block_forward(a, block)
+        want.update(compute_prototypes(a, task.train_y))
+        train_task(state, task, cfg, run_seed=3)
+    assert list(state.frozen_prototypes) == list(want)
+    assert all(state.frozen_prototypes[c].tobytes() == p.tobytes()
+               for c, p in want.items())
 
 
 @pytest.mark.parametrize("batch", [1, 16, 47])
@@ -324,8 +340,9 @@ def _batch_tape_for(cfg, masked=True):
     before = counters.f_c[1].sum(axis=0)
     # a first task has no old classes, so every class allocates: no reuse
     prior = {1: (state.counters.f_c[1].sum(axis=0), {})}
+    x = frozen_forward(task.train_x[:8], state.backbone.blocks[:1])
     tape, _ = build_batch_tape(
-        state, params, _frozen_prefix(state, task.train_x[:8]), slots, cfg,
+        state, params, x, slots, cfg,
         Phase.EXPLORATION, counters, prior, {1: np.full((8, 16), 0.5)}, {})
     assert state.counters.f_c[1].shape == (0, 16)  # the state is only read
     return tape, counters.f_c[1].sum(axis=0) - before
@@ -351,6 +368,14 @@ def test_enabled_sgds_masks_target_layer():
 def test_state_rejects_k_outside_unit_interval(k):
     with pytest.raises(ContractViolation, match="sparsity ratio k"):
         ContinualState(FrozenBackbone.create(2, 16), (1,), k, True)
+
+
+@pytest.mark.parametrize("layers, message", [
+    ((), "no target layer"), ((2,), r"target layers \(2,\) are not blocks"),
+    ((-1, 1), r"target layers \(-1, 1\) are not blocks")])
+def test_state_rejects_missing_or_out_of_range_target_layers(layers, message):
+    with pytest.raises(ContractViolation, match=message):
+        ContinualState(FrozenBackbone.create(2, 16), layers, 0.6, True)
 
 
 def test_state_defaults():
