@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure.
+Exit codes: 0 success, 1 input error (a ContractViolation or an OSError),
+2 numeric failure.
 Any config key can be overridden with an environment variable named
 SGDS_<KEY> where dots become underscores (e.g. SGDS_TRAIN_EPOCHS=5).
 """
@@ -13,8 +14,8 @@ import numpy as np
 
 from .checkpoint import load_state
 from .data import generate_class_pool, write_embeddings
-from .experiment import (ConfigError, build_stream, parse_config,
-                         run_ablation, run_experiment)
+from .experiment import (build_stream, parse_config, run_ablation,
+                         run_experiment)
 from .inference import evaluate_row
 from .model import FrozenBackbone
 from .numerics import ContractViolation, NumericError
@@ -116,7 +117,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractViolation, OSError) as exc:
+    except (ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

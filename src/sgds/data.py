@@ -157,6 +157,8 @@ def load_embeddings(path):
     num_samples, dim, num_classes = r.unpack("<III", "header")
     if not 0 < dim < 1 << 29:  # a record's byte size must fit a C int
         raise FormatError(f"{r.name}: dim must be in [1, 2^29), got {dim}", 12)
+    if num_classes == 0:
+        raise FormatError(f"{r.name}: num_classes must be at least 1, got 0", 16)
     record = _emb_record(dim)
     expected = 20 + num_samples * record.itemsize
     if len(r.blob) != expected:

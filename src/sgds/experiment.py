@@ -8,7 +8,7 @@ import re
 import shutil
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
@@ -24,16 +24,12 @@ from .training import ContinualState, TrainConfig, train_task
 ENV_PREFIX = "SGDS_"
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _to_bool(s: str) -> bool:
     if s.lower() in ("true", "1", "yes", "on"):
         return True
     if s.lower() in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"expected boolean, got {s!r}")
+    raise ContractViolation(f"expected boolean, got {s!r}")
 
 
 def _to_seeds(s: str) -> tuple[int, ...]:
@@ -43,37 +39,41 @@ def _to_seeds(s: str) -> tuple[int, ...]:
     return tuple(int(p) for p in s.split(","))
 
 
+_TRAIN = {f.name: f for f in fields(TrainConfig)}
+_SPEC = {f.name: f for f in fields(SyntheticSpec)}
+
 _SCHEMA: dict[str, tuple] = {
-    # key: (converter, default, minimum or None)
+    # key: (converter, default, minimum or None); the default of a key that
+    # sets a TrainConfig or SyntheticSpec field is that field, which holds it
     "dataset.kind": (str, "synthetic", None),
     "dataset.path": (str, "", None),
-    "dataset.groups": (int, 4, 1),
-    "dataset.classes_per_group": (int, 5, 1),
-    "dataset.angle": (float, 0.25, None),
-    "dataset.noise": (float, 0.15, None),
-    "dataset.train_per_class": (int, 100, 1),
-    "dataset.test_per_class": (int, 50, 0),
-    "dataset.seed": (int, 0, None),
+    "dataset.groups": (int, _SPEC["groups"], 1),
+    "dataset.classes_per_group": (int, _SPEC["classes_per_group"], 1),
+    "dataset.angle": (float, _SPEC["within_group_angle"], None),
+    "dataset.noise": (float, _SPEC["noise_sigma"], None),
+    "dataset.train_per_class": (int, _SPEC["samples_per_class_train"], 1),
+    "dataset.test_per_class": (int, _SPEC["samples_per_class_test"], 0),
+    "dataset.seed": (int, _SPEC["seed"], None),
     "tasks.count": (int, 10, 1),
     "tasks.seed": (int, 1993, None),
     "model.layers": (int, 4, 1),
-    "model.dim": (int, 64, 1),
-    "adapter.rank": (int, 16, 1),
+    "model.dim": (int, _SPEC["dim"], 1),
+    "adapter.rank": (int, _TRAIN["adapter_rank"], 1),
     "sgds.enabled": (_to_bool, True, None),
     "sgds.k": (float, 0.6, None),
-    "sgds.beta": (float, 0.5, None),
-    "sgds.gamma": (float, 1.0, None),
+    "sgds.beta": (float, _TRAIN["beta"], None),
+    "sgds.gamma": (float, _TRAIN["gamma"], None),
     "sgds.target_layers": (str, "last", None),
     "sgds.se": (_to_bool, True, None),
     "sgds.ac": (_to_bool, True, None),
-    "train.epochs": (int, 20, 1),
-    "train.batch": (int, 48, 1),
-    "train.lr": (float, 0.01, None),
-    "train.momentum": (float, 0.9, None),
-    "train.weight_decay": (float, 0.0, None),
-    "baseline.param_reg.mode": (str, "off", None),
-    "baseline.param_reg.lambda": (float, 0.1, None),
-    "align.samples": (int, 256, 0),
+    "train.epochs": (int, _TRAIN["epochs"], 1),
+    "train.batch": (int, _TRAIN["batch"], 1),
+    "train.lr": (float, _TRAIN["lr"], None),
+    "train.momentum": (float, _TRAIN["momentum"], None),
+    "train.weight_decay": (float, _TRAIN["weight_decay"], None),
+    "baseline.param_reg.mode": (str, _TRAIN["param_reg_mode"], None),
+    "baseline.param_reg.lambda": (float, _TRAIN["param_reg_lambda"], None),
+    "align.samples": (int, _TRAIN["align_samples"], 0),
     "run.seeds": (_to_seeds, (), None),
     "out.dir": (str, "runs", None),
     "out.chart": (_to_bool, False, None),
@@ -90,36 +90,40 @@ class Config:
         v = self.values
         for key, (conv, _, low) in _SCHEMA.items():
             if low is not None and v[key] < low:
-                raise ConfigError(f"{key} must be at least {low}, got {v[key]}")
+                raise ContractViolation(f"{key} must be at least {low}, got {v[key]}")
             if conv is float and not math.isfinite(v[key]):
-                raise ConfigError(f"{key} must be finite, got {v[key]}")
+                raise ContractViolation(f"{key} must be finite, got {v[key]}")
         if not 0.0 < v["sgds.k"] <= 1.0:
-            raise ConfigError(f"sgds.k must be in (0, 1], got {v['sgds.k']}")
+            raise ContractViolation(f"sgds.k must be in (0, 1], got {v['sgds.k']}")
         if v["adapter.rank"] > v["model.dim"] // 2:
-            raise ConfigError(f"adapter.rank must be at most model.dim // 2 = "
-                              f"{v['model.dim'] // 2}, got {v['adapter.rank']}")
-        kept = math.floor(v["sgds.k"] * v["model.dim"])
+            raise ContractViolation(f"adapter.rank must be at most model.dim // 2 = "
+                                    f"{v['model.dim'] // 2}, got {v['adapter.rank']}")
+        try:
+            kept = math.floor(v["sgds.k"] * v["model.dim"])
+        except OverflowError:  # an int too large for a float
+            digits = len(str(v["model.dim"]))
+            raise ContractViolation(f"model.dim must fit a float, got a "
+                                    f"{digits}-digit integer") from None
         if kept < 1:
-            raise ConfigError(f"floor(sgds.k * model.dim) must be at least 1, got {kept}")
+            raise ContractViolation(
+                f"floor(sgds.k * model.dim) must be at least 1, got {kept}")
         for i, s in enumerate(v["run.seeds"]):
             if s in v["run.seeds"][:i]:
-                raise ConfigError(f"run seed {s} given twice")
+                raise ContractViolation(f"run seed {s} given twice")
         kind = v["dataset.kind"]
         if kind not in ("synthetic", "embeddings"):
-            raise ConfigError(f"unknown dataset.kind {kind!r}")
+            raise ContractViolation(f"unknown dataset.kind {kind!r}")
         if kind == "embeddings" and not v["dataset.path"]:
-            raise ConfigError("dataset.path required for embeddings mode")
+            raise ContractViolation("dataset.path required for embeddings mode")
         classes = v["dataset.groups"] * v["dataset.classes_per_group"]
         if kind == "synthetic" and classes % v["tasks.count"]:
-            raise ConfigError(f"tasks.count {v['tasks.count']} does not divide "
-                              f"the {classes} synthetic classes")
-        try:  # the checks the run itself would make, before any output exists
-            self.train_config()
-            layer_bitmap(self.target_layers)
-            if kind == "synthetic":
-                self.synthetic_spec()
-        except ContractViolation as exc:
-            raise ConfigError(str(exc)) from None
+            raise ContractViolation(f"tasks.count {v['tasks.count']} does not divide "
+                                    f"the {classes} synthetic classes")
+        # the checks the run itself would make, before any output exists
+        self.train_config()
+        layer_bitmap(self.target_layers)
+        if kind == "synthetic":
+            self.synthetic_spec()
 
     def __getitem__(self, key):
         return self.values[key]
@@ -132,60 +136,51 @@ class Config:
         try:
             layers = tuple(sorted(int(p) for p in raw.split(",")))
         except ValueError:
-            raise ConfigError(f"bad sgds.target_layers value {raw!r}")
+            raise ContractViolation(f"bad sgds.target_layers value {raw!r}")
         for i, l in enumerate(layers):
             if not 0 <= l < self.values["model.layers"]:
-                raise ConfigError(f"target layer {l} out of range")
+                raise ContractViolation(f"target layer {l} out of range")
             if l in layers[:i]:
-                raise ConfigError(f"target layer {l} given twice")
+                raise ContractViolation(f"target layer {l} given twice")
         return layers
 
     @property
     def seeds(self) -> tuple[int, ...]:
         return self.values["run.seeds"] or (self.values["tasks.seed"],)
 
+    def _fields(self, cls) -> dict:
+        """The values of the keys whose default is a field of ``cls``."""
+        return {d.name: self.values[k] for k, (_, d, _) in _SCHEMA.items()
+                if d in fields(cls)}
+
     def synthetic_spec(self) -> SyntheticSpec:
-        return SyntheticSpec(
-            groups=self.values["dataset.groups"],
-            classes_per_group=self.values["dataset.classes_per_group"],
-            dim=self.values["model.dim"],
-            within_group_angle=self.values["dataset.angle"],
-            noise_sigma=self.values["dataset.noise"],
-            samples_per_class_train=self.values["dataset.train_per_class"],
-            samples_per_class_test=self.values["dataset.test_per_class"],
-            seed=self.values["dataset.seed"],
-        )
+        return SyntheticSpec(**self._fields(SyntheticSpec))
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.values["train.epochs"],
-            batch=self.values["train.batch"],
-            lr=self.values["train.lr"],
-            momentum=self.values["train.momentum"],
-            weight_decay=self.values["train.weight_decay"],
-            se_enabled=self.values["sgds.enabled"] and self.values["sgds.se"],
-            ac_enabled=self.values["sgds.enabled"] and self.values["sgds.ac"],
-            param_reg_mode=self.values["baseline.param_reg.mode"],
-            param_reg_lambda=self.values["baseline.param_reg.lambda"],
-            adapter_rank=self.values["adapter.rank"],
-            align_samples=self.values["align.samples"],
-            beta=self.values["sgds.beta"],
-            gamma=self.values["sgds.gamma"],
-        )
+        on = self.values["sgds.enabled"]
+        return TrainConfig(se_enabled=on and self.values["sgds.se"],
+                           ac_enabled=on and self.values["sgds.ac"],
+                           **self._fields(TrainConfig))
 
 
 def parse_config(path=None, overrides: dict | None = None) -> Config:
     """Flat key=value file with dotted keys; env vars SGDS_* override keys."""
-    values = {k: d for k, (_, d, _) in _SCHEMA.items()}
+    values = {k: d.default if isinstance(d, Field) else d
+              for k, (_, d, _) in _SCHEMA.items()}
     raw: dict[str, str] = {}
     if path is not None:
-        with open(path) as f:
+        # undecodable bytes become lone surrogates, which cannot encode back
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
             for ln, line in enumerate(f, 1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ContractViolation(f"{path}:{ln}: not UTF-8 text") from None
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{ln}: expected key=value")
+                    raise ContractViolation(f"{path}:{ln}: expected key=value")
                 key, _, val = line.partition("=")
                 raw[key.strip()] = val.strip()
     env_name = {k: ENV_PREFIX + k.replace(".", "_").upper() for k in _SCHEMA}
@@ -196,13 +191,13 @@ def parse_config(path=None, overrides: dict | None = None) -> Config:
         raw.update({k: str(v) for k, v in overrides.items()})
     for key, val in raw.items():
         if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ContractViolation(f"unknown config key {key!r}")
         try:
             values[key] = _SCHEMA[key][0](val)
-        except ConfigError:
+        except ContractViolation:
             raise
         except ValueError:
-            raise ConfigError(f"bad value for {key!r}: {val!r}")
+            raise ContractViolation(f"bad value for {key!r}: {val!r}")
     return Config(values)
 
 
@@ -212,7 +207,7 @@ def build_stream(cfg: Config, split_seed: int):
                                   split_seed)
     x, y, num_classes = load_embeddings(cfg["dataset.path"])
     if x.shape[1] != cfg["model.dim"]:
-        raise ConfigError("embedding dim does not match model.dim")
+        raise ContractViolation("embedding dim does not match model.dim")
     return embeddings_to_stream(x, y, num_classes, cfg["tasks.count"],
                                 split_seed, cfg["dataset.test_per_class"])
 

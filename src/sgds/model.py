@@ -17,14 +17,12 @@ BACKBONE_SEED = 0x5AC5  # backbone is a fixed function of (num_blocks, width)
 @dataclass(frozen=True)
 class Block:
     w1: np.ndarray  # (d, d)
-    b1: np.ndarray  # (d,)
     w2: np.ndarray  # (d, d)
-    b2: np.ndarray  # (d,)
 
     def mlp(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(pre-activation x w1 + b1, MLP output ReLU(pre) w2 + b2)."""
-        pre = x @ self.w1 + self.b1
-        return pre, np.maximum(pre, 0.0) @ self.w2 + self.b2
+        """(pre-activation x w1, MLP output ReLU(pre) w2)."""
+        pre = x @ self.w1
+        return pre, np.maximum(pre, 0.0) @ self.w2
 
 
 @dataclass(frozen=True)
@@ -42,9 +40,7 @@ class FrozenBackbone:
             s2 = 0.5 / np.sqrt(width)
             blocks.append(Block(
                 w1=rng.normal(scale=s1, size=(width, width)),
-                b1=np.zeros(width),
                 w2=rng.normal(scale=s2, size=(width, width)),
-                b2=np.zeros(width),
             ))
         return cls(num_blocks, width, tuple(blocks))
 
@@ -226,6 +222,9 @@ def load_adapter(path) -> tuple[Adapter, int, int]:
     """Read an SGDSADP1 file; returns (adapter, num_blocks, d)."""
     r = BlobReader(path, ADP_MAGIC)
     task_id, num_blocks, d, rank, bitmap = r.unpack("<iIIIQ", "header")
+    if not 1 <= rank <= d // 2:  # the ranks a Config allows
+        raise FormatError(f"{r.name}: adapter rank must be in [1, {d // 2}], "
+                          f"got {rank}", 20)
     layers = {}
     for l in range(64):
         if bitmap & (1 << l):

@@ -170,7 +170,7 @@ class BlockRecord:
     layer: int
     block: Block
     a: np.ndarray            # block input, after the mask
-    pre: np.ndarray          # a @ w1 + b1
+    pre: np.ndarray          # a @ w1
     mask: np.ndarray | None  # 0/1 input mask at a masked target layer
     z: np.ndarray | None     # a @ W_down at a target layer
 

@@ -3,15 +3,21 @@ import math
 import os
 import shutil
 import struct
+from dataclasses import Field, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgds.cli import main
 from sgds import experiment
-from sgds.experiment import (_SCHEMA, ENV_PREFIX, Config, ConfigError,
-                             build_stream, parse_config, run_ablation,
-                             run_experiment, run_single)
+from sgds.data import SyntheticSpec
+from sgds.experiment import (_SCHEMA, ENV_PREFIX, Config, build_stream,
+                             parse_config, run_ablation, run_experiment,
+                             run_single)
+from sgds.numerics import ContractViolation
+from sgds.training import TrainConfig
 
 from test_model import flat
 
@@ -49,17 +55,28 @@ def test_defaults_match_protocol():
     assert cfg.target_layers == (3,)
 
 
+def test_every_run_setting_has_one_schema_row():
+    named = [d for _, d, _ in _SCHEMA.values() if isinstance(d, Field)]
+    owned = [f for cls in (TrainConfig, SyntheticSpec) for f in fields(cls)
+             if f.name not in ("se_enabled", "ac_enabled")]
+    assert sorted(f.name for f in named) == sorted(f.name for f in owned)
+    assert all(named.count(f) == 1 for f in owned)
+    cfg = parse_config()
+    assert cfg.train_config() == TrainConfig()
+    assert cfg.synthetic_spec() == SyntheticSpec()
+
+
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("sgds.bogus = 1\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ContractViolation):
         parse_config(path)
 
 
 def test_bad_value_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("train.epochs = soon\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ContractViolation):
         parse_config(path)
 
 
@@ -327,9 +344,63 @@ def test_config_checks_values_where_made(tmp_path, var, value, message):
     key = next(k for k in values
                if ENV_PREFIX + k.replace(".", "_").upper() == var)
     values[key] = _SCHEMA[key][0](value)
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(ContractViolation) as exc:
         Config(values)
     assert message in str(exc.value)
+
+
+def test_cli_rejects_model_dim_too_large_for_a_float(tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.setenv("SGDS_MODEL_DIM", "1" + "0" * 400)
+    out = tmp_path / "o"
+    assert main(["run", str(quick_config(tmp_path)), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: model.dim must fit a float, got a 401-digit integer\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ablate", "eval", "gen-synthetic"])
+def test_cli_rejects_config_text_that_is_not_utf8(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"# a comment\ntrain.epochs=\xff\xfe\n")
+    out = tmp_path / "o"
+    argv = {"run": ["run", str(cfg), "--out", str(out)],
+            "ablate": ["ablate", str(cfg), "--out", str(out)],
+            "eval": ["eval", str(out), str(cfg)],
+            "gen-synthetic": ["gen-synthetic", str(cfg), str(out)]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {cfg}:2: not UTF-8 text\n")
+    assert not out.exists()
+
+
+# a value a key may be given: any text, an integer of up to 401 digits (a
+# power of ten reaches past the largest float), or a float spelling the
+# checks must refuse
+CONFIG_VALUES = st.one_of(
+    st.text(max_size=12), st.integers(-10 ** 400, 10 ** 400).map(str),
+    st.integers(0, 400).map(lambda e: str(10 ** e)),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "0.5", "last", "true"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.one_of(
+           st.binary(max_size=24),
+           st.tuples(st.sampled_from(sorted(_SCHEMA)), CONFIG_VALUES).map(
+               lambda kv: f"{kv[0]} = {kv[1]}".encode())), max_size=6),
+       env=st.dictionaries(st.sampled_from(sorted(_SCHEMA)), CONFIG_VALUES.filter(
+           lambda v: "\0" not in v), max_size=3))
+def test_parse_config_gives_a_config_or_a_contract_violation(
+        tmp_path_factory, lines, env):
+    path = tmp_path_factory.getbasetemp() / "property.cfg"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.MonkeyPatch.context() as mp:
+        for key, value in env.items():
+            mp.setenv(ENV_PREFIX + key.replace(".", "_").upper(), value)
+        try:
+            cfg = parse_config(path)
+        except ContractViolation:
+            return
+    assert isinstance(cfg, Config)
 
 
 def test_ablate_checks_every_cell_before_the_first_run(tmp_path, monkeypatch,
@@ -503,6 +574,25 @@ def test_cli_eval_rejects_checkpoint_without_target_layers(saved_run, tmp_path,
         "and masks\n")
 
 
+@pytest.mark.parametrize("rank", [0, 9])
+def test_cli_eval_rejects_adapter_rank_outside_the_config_range(
+        saved_run, tmp_path, capsys, rank):
+    # each adapter rewritten at a rank no Config allows (1..dim // 2 = 8),
+    # its one layer's W_down and W_up zeros of that rank
+    cfg_path, ckpt = saved_run
+    bad = tmp_path / "ckpt"
+    shutil.copytree(ckpt, bad)
+    for path in sorted(bad.glob("adapter_*.sgdsadp")):
+        header = bytearray(path.read_bytes()[:32])
+        assert struct.unpack_from("<IIQ", header, 16) == (16, 4, 1 << 1)
+        struct.pack_into("<I", header, 20, rank)
+        path.write_bytes(bytes(header) + bytes(2 * 16 * rank * 8))
+    assert main(["eval", str(bad), str(cfg_path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: adapter_000.sgdsadp: adapter rank must be in [1, 8], "
+        f"got {rank} (byte offset 20)\n")
+
+
 # stats.bin: a 37-byte header, then per class its id and three rows of 16
 # floats (mean, variance, classifier row); an adapter file: a 32-byte header,
 # then W_down (16 x 4) and W_up (4 x 16) of layer 1
@@ -584,6 +674,21 @@ def test_cli_rejects_non_finite_embedding(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: nan.sgdsemb: non-finite feature in sample 37 "
         f"(byte offset {20 + 37 * record})\n")
+
+
+def test_cli_rejects_embedding_file_with_no_class(tmp_path, monkeypatch,
+                                                  capsys):
+    # 0 samples of 0 classes: a header with nothing to split into tasks
+    path = tmp_path / "empty.sgdsemb"
+    path.write_bytes(b"SGDSEMB1" + struct.pack("<III", 0, 16, 0))
+    monkeypatch.setenv("SGDS_DATASET_KIND", "embeddings")
+    monkeypatch.setenv("SGDS_DATASET_PATH", str(path))
+    out = tmp_path / "o"
+    assert main(["run", str(quick_config(tmp_path)), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: empty.sgdsemb: num_classes must be at least 1, got 0 "
+        "(byte offset 16)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "ablate"])

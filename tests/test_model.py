@@ -12,7 +12,7 @@ from sgds.training import (ContinualState, TrainConfig, build_batch_tape,
 
 def zero_block(d):
     z = np.zeros((d, d))
-    return Block(z, np.zeros(d), z, np.zeros(d))
+    return Block(z, z)
 
 
 def rand_adapter(rng, d=4, r=2, layers=(0, 1), task_id=0):
