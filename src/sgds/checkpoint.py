@@ -50,6 +50,8 @@ def load_state(dirpath, backbone: FrozenBackbone) -> ContinualState:
     class_ids, class_stats, rows = [], {}, []
     for _ in range(n_classes):
         (c,) = r.unpack("<I", "class id")
+        if c in class_stats:
+            raise FormatError(f"{r.name}: class {c} given twice", r.off - 4)
         mean = r.array("<f8", d, f"mean of class {c}")
         var = r.array("<f8", d, f"variance of class {c}")
         rows.append(r.array("<f8", d, f"classifier row of class {c}"))

@@ -93,17 +93,15 @@ class Config:
                 raise ContractViolation(f"{key} must be at least {low}, got {v[key]}")
             if conv is float and not math.isfinite(v[key]):
                 raise ContractViolation(f"{key} must be finite, got {v[key]}")
+        if v["model.dim"] >= 1 << 29:  # the SGDSEMB1 dim bound
+            raise ContractViolation(
+                f"model.dim must be below 2^29, got {v['model.dim']}")
         if not 0.0 < v["sgds.k"] <= 1.0:
             raise ContractViolation(f"sgds.k must be in (0, 1], got {v['sgds.k']}")
         if v["adapter.rank"] > v["model.dim"] // 2:
             raise ContractViolation(f"adapter.rank must be at most model.dim // 2 = "
                                     f"{v['model.dim'] // 2}, got {v['adapter.rank']}")
-        try:
-            kept = math.floor(v["sgds.k"] * v["model.dim"])
-        except OverflowError:  # an int too large for a float
-            digits = len(str(v["model.dim"]))
-            raise ContractViolation(f"model.dim must fit a float, got a "
-                                    f"{digits}-digit integer") from None
+        kept = math.floor(v["sgds.k"] * v["model.dim"])
         if kept < 1:
             raise ContractViolation(
                 f"floor(sgds.k * model.dim) must be at least 1, got {kept}")
@@ -116,6 +114,9 @@ class Config:
         if kind == "embeddings" and not v["dataset.path"]:
             raise ContractViolation("dataset.path required for embeddings mode")
         classes = v["dataset.groups"] * v["dataset.classes_per_group"]
+        if kind == "synthetic" and classes >= 1 << 32:  # SGDSEMB1's u32 count
+            raise ContractViolation("dataset.groups * dataset.classes_per_group "
+                                    "must be below 2^32")
         if kind == "synthetic" and classes % v["tasks.count"]:
             raise ContractViolation(f"tasks.count {v['tasks.count']} does not divide "
                                     f"the {classes} synthetic classes")

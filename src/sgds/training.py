@@ -181,17 +181,13 @@ class BatchTape:
 
     nodes: list[BlockRecord]
     features: np.ndarray
+    logits: np.ndarray      # read by train_task's finite scan
     classifier: np.ndarray  # old-class head rows; their logits come first
     dlogits: np.ndarray     # d loss / d logits
     # per penalised parameter W: (its name, W W_prev^T per previous adapter,
     # the W_prev^T stack), in the order of ``penalty_stacks``
     penalty: list[tuple[str, np.ndarray, np.ndarray]]
     reg_lambda: float
-
-
-def _check_finite(name: str, value) -> None:
-    if not np.isfinite(value).all():
-        raise NumericError(f"non-finite {name}")
 
 
 def penalty_stacks(adapters, target_layers, mode: str) -> dict[str, np.ndarray]:
@@ -256,7 +252,6 @@ def build_batch_tape(state, params, x, slots, cfg, phase, counters, prior, mask_
 
     logits = np.concatenate([a @ state.classifier.T, a @ params["head_new"]],
                             axis=1)
-    _check_finite("logits", logits)
     labels = len(state.classifier) + slots
     rows = np.arange(len(labels))
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -278,8 +273,7 @@ def build_batch_tape(state, params, x, slots, cfg, phase, counters, prior, mask_
                 0, 2, 1).ravel().tolist():
             pen += term
         loss = loss + pen * cfg.param_reg_lambda
-    _check_finite("loss", loss)
-    tape = BatchTape(nodes, a, state.classifier, dlogits, penalty,
+    tape = BatchTape(nodes, a, logits, state.classifier, dlogits, penalty,
                      cfg.param_reg_lambda)
     return tape, float(loss)
 
@@ -321,8 +315,6 @@ def backward(tape: BatchTape, params: dict) -> dict:
         if node.mask is not None:
             g_in = g_in * node.mask
         g = g_in
-    for name, g in grads.items():
-        _check_finite(f"gradient of {name}", g)
     return grads
 
 
@@ -388,21 +380,23 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
         for start in range(0, n, cfg.batch):
             idx = order[start:start + cfg.batch]
             mask_u = {l: u[start:start + cfg.batch] for l, u in epoch_u.items()}
-            try:  # the finite checks, not NumPy warnings, report an overflow
-                with np.errstate(over="ignore", invalid="ignore"):
-                    x = (frozen_forward(task.train_x[idx], blocks[:first])
-                         if len(idx) == 1 else hoisted[idx])
-                    tape, loss = build_batch_tape(
-                        state, params, x, slots[idx], cfg,
-                        phase, counters, prior, mask_u, prev)
-                    sgd_step(params, backward(tape, params), velocity, lr,
-                             cfg.momentum, cfg.weight_decay)
-                for name, p in params.items():
-                    _check_finite(name, p)
-            except NumericError as exc:
-                raise NumericError(
-                    f"task {task_index + 1}, epoch {epoch}, "
-                    f"batch {start // cfg.batch + 1}: {exc}") from exc
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = (frozen_forward(task.train_x[idx], blocks[:first])
+                     if len(idx) == 1 else hoisted[idx])
+                tape, loss = build_batch_tape(state, params, x, slots[idx], cfg,
+                                              phase, counters, prior, mask_u, prev)
+                grads = backward(tape, params)
+                sgd_step(params, grads, velocity, lr, cfg.momentum, cfg.weight_decay)
+            # the one finite scan, in the order the values arise; the
+            # scan, not NumPy warnings, reports an overflow
+            for name, value in [("logits", tape.logits), ("loss", loss),
+                                *((f"gradient of {k}", g) for k, g in grads.items()),
+                                *params.items()]:
+                if not np.isfinite(value).all():
+                    raise NumericError(
+                        f"task {task_index + 1}, epoch {epoch}, "
+                        f"batch {start // cfg.batch + 1}: non-finite {name}")
+            del grads  # freed per batch: held longer, it shifts the heap that predict reuses
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
 

@@ -355,7 +355,25 @@ def test_cli_rejects_model_dim_too_large_for_a_float(tmp_path, monkeypatch,
     out = tmp_path / "o"
     assert main(["run", str(quick_config(tmp_path)), "--out", str(out)]) == 1
     assert capsys.readouterr() == (
-        "", "error: model.dim must fit a float, got a 401-digit integer\n")
+        "", f"error: model.dim must be below 2^29, got 1{'0' * 400}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("env,message", [
+    ({"SGDS_MODEL_DIM": "1" + "0" * 30},
+     "model.dim must be below 2^29, got 1" + "0" * 30),
+    ({"SGDS_DATASET_GROUPS": "1" + "0" * 4000,
+      "SGDS_DATASET_CLASSES_PER_GROUP": "1" + "0" * 4000, "SGDS_TASKS_COUNT": "7"},
+     "dataset.groups * dataset.classes_per_group must be below 2^32")],
+    ids=["dim-1e30", "classes-1e8000"])
+def test_cli_rejects_sizes_past_the_embedding_format(tmp_path, monkeypatch,
+                                                     capsys, env, message):
+    # SGDSEMB1 bounds the dim below 2^29 and stores the class count in a u32
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    out = tmp_path / "o"
+    assert main(["run", str(quick_config(tmp_path)), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 
 
@@ -446,6 +464,18 @@ def test_cli_numeric_error_exit_code(tmp_path, capsys):
         cfg_path = quick_config(tmp_path, **{key: value})
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"numeric failure: {where}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_numeric_error_names_a_non_finite_loss(tmp_path, capsys):
+    # task 2's penalty against task 1's adapter overflows its first loss,
+    # which the scan reaches before any gradient or parameter
+    cfg_path = quick_config(tmp_path, **{
+        "tasks.count": 2, "train.epochs": 2, "baseline.param_reg.mode": "both",
+        "baseline.param_reg.lambda": "1e308"})
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "numeric failure: task 2, epoch 1, batch 1: non-finite loss\n")
 
 
 def test_cli_gen_synthetic_round_trip(tmp_path):

@@ -134,6 +134,26 @@ def test_nonfinite_parameter_raises_naming_it(monkeypatch):
     assert str(err.value) == "task 1, epoch 2, batch 2: non-finite wu_1"
 
 
+def test_the_batch_step_leaves_the_finite_scan_to_train_task():
+    # a non-finite old-class head row runs through the tape and its
+    # gradients; only train_task's scan raises
+    d = 8
+    cfg = TrainConfig(epochs=2, se_enabled=False, ac_enabled=False)
+    classifier = np.ones((2, d))
+    classifier[1, 3] = np.inf
+    state = ContinualState(FrozenBackbone.create(1, d), (0,), 0.6, False,
+                           classifier=classifier)
+    rng = np.random.default_rng(0)
+    params = {"head_new": rng.normal(size=(d, 2)), "wd_0": rng.normal(size=(d, 2)),
+              "wu_0": rng.normal(size=(2, d))}
+    with np.errstate(over="ignore", invalid="ignore"):
+        tape, _ = build_batch_tape(state, params, rng.normal(size=(3, d)),
+                                   np.array([0, 1, 1]), cfg, Phase.EXPLORATION,
+                                   0, {}, {}, {})
+        backward(tape, params)
+    assert not np.isfinite(tape.logits).all()
+
+
 def test_frozen_leaves_get_no_gradient():
     params, loss_fn = engine_graph(6, d=6, r=2, layers=3, targets=(1,),
                                    n_old=2, reg="both")

@@ -241,6 +241,17 @@ def test_a_task_that_raises_leaves_the_state_as_it_was():
             == [(l, f_c.tobytes()) for l, f_c in fresh.counters.f_c.items()])
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_head_row_fails_the_first_batch_at_its_logits():
+    state = fresh_state()
+    stream = small_stream(tasks=2)
+    train_task(state, stream.tasks[0], small_config(), run_seed=3)
+    state.classifier[0, 5] = np.inf
+    with pytest.raises(NumericError) as err:
+        train_task(state, stream.tasks[1], small_config(), run_seed=3)
+    assert str(err.value) == "task 2, epoch 1, batch 1: non-finite logits"
+
+
 @pytest.mark.parametrize("batch", [16, 47])
 def test_frozen_prefix_runs_once_per_task_not_per_batch(batch, monkeypatch):
     # blocks 0 and 1 come before the first target layer; the task runs them
