@@ -1,4 +1,4 @@
-"""On-disk state checkpoints: adapters, classifier/Gaussian blob, counters."""
+"""On-disk state checkpoints: SGDSADP1 adapters, SGDSSTA1 stats, layer bitmap, counters."""
 from __future__ import annotations
 
 import os
@@ -6,17 +6,58 @@ import struct
 
 import numpy as np
 
-from .model import (BlobReader, FrozenBackbone, layer_bitmap, load_adapter,
-                    save_adapter)
+from .model import Adapter, BlobReader, FrozenBackbone
 from .numerics import ContractViolation, FormatError
 from .training import ContinualState
 
+ADP_MAGIC = b"SGDSADP1"
 STATS_MAGIC = b"SGDSSTA1"
 STATS_VERSION = 1
 
 
+def layer_bitmap(layers) -> int:
+    """The u64 target-layer bitmap of the SGDSADP1 and SGDSSTA1 headers."""
+    if any(not 0 <= l < 64 for l in layers):
+        raise ContractViolation(f"target layers {tuple(layers)} do not fit "
+                                "a 64-bit layer bitmap (0..63)")
+    return sum(1 << l for l in set(layers))
+
+
+def save_adapter(path, adapter: Adapter, num_blocks: int, d: int) -> None:
+    """SGDSADP1 checkpoint: header then row-major float64 matrices per layer."""
+    bitmap = layer_bitmap(adapter.target_layers)
+    with open(path, "wb") as f:
+        f.write(ADP_MAGIC)
+        f.write(struct.pack("<iIIIQ", adapter.task_id, num_blocks, d,
+                            adapter.rank, bitmap))
+        for l in adapter.target_layers:
+            wd, wu = adapter.layers[l]
+            f.write(np.ascontiguousarray(wd, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(wu, dtype="<f8").tobytes())
+
+
+def load_adapter(path) -> tuple[Adapter, int, int]:
+    """Read an SGDSADP1 file; returns (adapter, num_blocks, d)."""
+    r = BlobReader(path, ADP_MAGIC)
+    task_id, num_blocks, d, rank, bitmap = r.unpack("<iIIIQ", "header")
+    if not 1 <= rank <= d // 2:  # the ranks a Config allows
+        raise FormatError(f"{r.name}: adapter rank must be in [1, {d // 2}], "
+                          f"got {rank}", 20)
+    layers = {}
+    for l in range(64):
+        if bitmap & (1 << l):
+            wd = r.array("<f8", d * rank, f"W_down of layer {l}")
+            wu = r.array("<f8", rank * d, f"W_up of layer {l}")
+            layers[l] = (wd.reshape(d, rank), wu.reshape(rank, d))
+    r.end()
+    return Adapter(task_id, rank, layers), num_blocks, d
+
+
 def save_state(dirpath, state: ContinualState) -> None:
     os.makedirs(dirpath, exist_ok=True)
+    for name in os.listdir(dirpath):  # no adapter of an earlier, longer state
+        if name.endswith(".sgdsadp"):
+            os.remove(os.path.join(dirpath, name))
     for i, adapter in enumerate(state.adapters):
         save_adapter(os.path.join(dirpath, f"adapter_{i:03d}.sgdsadp"),
                      adapter, state.backbone.num_blocks, state.backbone.width)

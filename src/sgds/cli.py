@@ -22,17 +22,15 @@ from .numerics import ContractViolation, NumericError
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_config(args.config)
-    results = run_experiment(cfg, args.out)
+    results = run_experiment(parse_config(args.config, args.overrides))
     for res in results:
         print(f"seed {res.seed}: A_bar={res.a_bar:.4f}  A_T={res.a_final:.4f}")
     return 0
 
 
 def _cmd_ablate(args) -> int:
-    cfg = parse_config(args.config)
-    rows = run_ablation(cfg, args.out, param_reg=args.param_reg,
-                        layer_sweep=args.layer_sweep)
+    rows = run_ablation(parse_config(args.config, args.overrides),
+                        param_reg=args.param_reg, layer_sweep=args.layer_sweep)
     for r in rows:
         print(f"{r['cell']:>14}: A_bar={r['a_bar_mean']:.4f}  "
               f"A_T={r['a_T_mean']:.4f}")
@@ -84,16 +82,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sgds", description="continual-learning experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
+    # --out X is the config override out.dir = X, applied after SGDS_OUT_DIR
+    out = dict(dest="overrides", type=lambda d: {"out.dir": d}, help="set out.dir")
 
     p = sub.add_parser("run", help="train and evaluate all configured seeds")
     p.add_argument("config", nargs="?", default=None,
                    help="key=value config file (defaults apply if omitted)")
-    p.add_argument("--out", default=None, help="override out.dir")
+    p.add_argument("--out", **out)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("ablate", help="run the SE/AC ablation grid")
     p.add_argument("config", nargs="?", default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", **out)
     p.add_argument("--param-reg", action="store_true",
                    help="also run the up/down/both penalty baselines")
     p.add_argument("--layer-sweep", action="store_true",

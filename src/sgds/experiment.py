@@ -12,12 +12,12 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .checkpoint import save_state
+from .checkpoint import layer_bitmap, save_state
 from .data import (SyntheticSpec, embeddings_to_stream, generate_synthetic,
                    load_embeddings)
 from .inference import evaluate_row, summarize
 from .masking import Strategy
-from .model import FrozenBackbone, layer_bitmap
+from .model import FrozenBackbone
 from .numerics import ContractViolation
 from .training import ContinualState, TrainConfig, train_task
 
@@ -296,9 +296,9 @@ def write_chart_svg(path, avg_acc: list[float]) -> None:
 
 
 @contextmanager
-def _marks_failure(out_dir, what: str):
-    """Drop an old ``out_dir/FAILED``; write one naming ``what`` on a raise."""
-    failed = os.path.join(out_dir, "FAILED")
+def _marks_failure(cfg: Config, what: str):
+    """Drop an old ``out.dir/FAILED``; write one naming ``what`` on a raise."""
+    failed = os.path.join(cfg["out.dir"], "FAILED")
     if os.path.exists(failed):
         os.remove(failed)
     try:
@@ -309,21 +309,20 @@ def _marks_failure(out_dir, what: str):
         raise
 
 
-def run_experiment(cfg: Config, out_dir=None) -> list[RunResult]:
-    """Run every configured seed; write per-seed reports plus an aggregate."""
-    out_dir = cfg["out.dir"] if out_dir is None else out_dir
+def run_experiment(cfg: Config) -> list[RunResult]:
+    """Run every configured seed into ``out.dir``: per-seed reports, an aggregate."""
+    out_dir = cfg["out.dir"]
     streams = {seed: build_stream(cfg, seed) for seed in cfg.seeds}
     os.makedirs(out_dir, exist_ok=True)
-    for name in os.listdir(out_dir):  # an earlier seed list's directories
+    for name in os.listdir(out_dir):  # every earlier run's seed directories
         path = os.path.join(out_dir, name)
-        if (re.fullmatch(r"seed_-?\d+", name) and int(name[5:]) not in cfg.seeds
-                and os.path.isdir(path)):
+        if re.fullmatch(r"seed_-?\d+", name) and os.path.isdir(path):
             shutil.rmtree(path)
     results = []
     for seed in cfg.seeds:
         run_dir = os.path.join(out_dir, f"seed_{seed}")
-        os.makedirs(run_dir, exist_ok=True)
-        with _marks_failure(out_dir, f"seed {seed}"):
+        os.makedirs(run_dir)
+        with _marks_failure(cfg, f"seed {seed}"):
             res = run_single(cfg, seed, stream=streams[seed])
         results.append(res)
         write_results_csv(os.path.join(run_dir, "results.csv"),
@@ -369,10 +368,10 @@ ABLATION_CELLS = (
 )
 
 
-def run_ablation(cfg: Config, out_dir=None, param_reg: bool = False,
+def run_ablation(cfg: Config, param_reg: bool = False,
                  layer_sweep: bool = False) -> list[dict]:
-    """SE/AC grid (optionally plus param-reg modes and a layer sweep)."""
-    out_dir = cfg["out.dir"] if out_dir is None else out_dir
+    """SE/AC grid (optionally param-reg modes and a layer sweep) into ``out.dir``."""
+    out_dir = cfg["out.dir"]
     cells = [(name, {"sgds.enabled": on, "sgds.se": se, "sgds.ac": ac,
                      "baseline.param_reg.mode": "off"})
              for name, on, se, ac in ABLATION_CELLS]
@@ -396,7 +395,7 @@ def run_ablation(cfg: Config, out_dir=None, param_reg: bool = False,
         for name, cell in cells:
             bars, finals = [], []
             for seed in cfg.seeds:
-                with _marks_failure(out_dir, f"cell {name} seed {seed}"):
+                with _marks_failure(cfg, f"cell {name} seed {seed}"):
                     res = run_single(cell, seed, stream=streams[seed])
                 bars.append(res.a_bar)
                 finals.append(res.a_final)

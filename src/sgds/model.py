@@ -1,4 +1,4 @@
-"""Frozen residual-MLP backbone, per-task bottleneck adapters, fusion, adapter files."""
+"""Frozen residual-MLP backbone, per-task bottleneck adapters, fusion, blob reader."""
 from __future__ import annotations
 
 import os
@@ -10,7 +10,6 @@ import numpy as np
 from .numerics import ContractViolation, FormatError
 from .rng import TAG_ADAPTER, TAG_BACKBONE, stream_rng
 
-ADP_MAGIC = b"SGDSADP1"
 BACKBONE_SEED = 0x5AC5  # backbone is a fixed function of (num_blocks, width)
 
 
@@ -154,27 +153,6 @@ def merge_universal(adapters: list[Adapter]) -> Adapter:
     return Adapter(-1, ref.rank, layers)
 
 
-def layer_bitmap(layers) -> int:
-    """The u64 target-layer bitmap of the SGDSADP1 and SGDSSTA1 headers."""
-    if any(not 0 <= l < 64 for l in layers):
-        raise ContractViolation(f"target layers {tuple(layers)} do not fit "
-                                "a 64-bit layer bitmap (0..63)")
-    return sum(1 << l for l in set(layers))
-
-
-def save_adapter(path, adapter: Adapter, num_blocks: int, d: int) -> None:
-    """SGDSADP1 checkpoint: header then row-major float64 matrices per layer."""
-    bitmap = layer_bitmap(adapter.target_layers)
-    with open(path, "wb") as f:
-        f.write(ADP_MAGIC)
-        f.write(struct.pack("<iIIIQ", adapter.task_id, num_blocks, d,
-                            adapter.rank, bitmap))
-        for l in adapter.target_layers:
-            wd, wu = adapter.layers[l]
-            f.write(np.ascontiguousarray(wd, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(wu, dtype="<f8").tobytes())
-
-
 class BlobReader:
     """Bounds-checked little-endian reads through the bytes of one file."""
 
@@ -216,20 +194,3 @@ class BlobReader:
             start, what, a = next(f for f in self.floats if not np.isfinite(f[2]).all())
             raise FormatError(f"{self.name}: non-finite {what}",
                               start + int(np.isfinite(a).argmin()) * a.itemsize)
-
-
-def load_adapter(path) -> tuple[Adapter, int, int]:
-    """Read an SGDSADP1 file; returns (adapter, num_blocks, d)."""
-    r = BlobReader(path, ADP_MAGIC)
-    task_id, num_blocks, d, rank, bitmap = r.unpack("<iIIIQ", "header")
-    if not 1 <= rank <= d // 2:  # the ranks a Config allows
-        raise FormatError(f"{r.name}: adapter rank must be in [1, {d // 2}], "
-                          f"got {rank}", 20)
-    layers = {}
-    for l in range(64):
-        if bitmap & (1 << l):
-            wd = r.array("<f8", d * rank, f"W_down of layer {l}")
-            wu = r.array("<f8", rank * d, f"W_up of layer {l}")
-            layers[l] = (wd.reshape(d, rank), wu.reshape(rank, d))
-    r.end()
-    return Adapter(task_id, rank, layers), num_blocks, d

@@ -327,8 +327,8 @@ def test_09_repeat_runs_are_byte_identical(tmp_path, verdict):
         "dataset.test_per_class": "10", "train.epochs": "4",
         "model.dim": "16", "model.layers": "2", "adapter.rank": "4",
         "align.samples": "32"})
-    run_experiment(cfg, str(tmp_path / "a"))
-    run_experiment(cfg, str(tmp_path / "b"))
+    run_experiment(Config({**cfg.values, "out.dir": str(tmp_path / "a")}))
+    run_experiment(Config({**cfg.values, "out.dir": str(tmp_path / "b")}))
     same = all((tmp_path / "a" / "seed_1993" / n).read_bytes()
                == (tmp_path / "b" / "seed_1993" / n).read_bytes()
                for n in ("results.csv", "strategy.csv", "counters.csv"))

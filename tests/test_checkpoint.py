@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgds.checkpoint import load_state, save_state
-from sgds.model import load_adapter
+from sgds.checkpoint import load_adapter, load_state, save_state
 from sgds.numerics import ContractViolation, FormatError
 
 from test_training import trained_state
@@ -88,6 +87,19 @@ def test_any_class_id_loads_distinct_or_raises(checkpoint, record, class_id):
         shutil.copytree(src, tmp, dirs_exist_ok=True)
         (Path(tmp) / "stats.bin").write_bytes(bytes(stats))
         load_or_none(tmp, backbone)
+
+
+def test_save_state_over_a_longer_checkpoint_leaves_no_stale_adapter(checkpoint,
+                                                                    tmp_path):
+    src, backbone = checkpoint
+    shutil.copytree(src, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "notes.txt").write_text("not the state's\n")
+    state, _, _ = trained_state(tasks=2)
+    save_state(tmp_path, state)
+    assert sorted(os.listdir(tmp_path)) == [*ADAPTERS[:2], "counters.csv",
+                                            "notes.txt", "stats.bin"]
+    loaded = load_state(tmp_path, backbone)
+    assert len(loaded.adapters) == 2 and loaded.class_ids == state.class_ids
 
 
 @pytest.mark.parametrize("name", [

@@ -118,7 +118,7 @@ def read_results_csv(path):
 def test_run_experiment_outputs(tmp_path):
     cfg = parse_config(quick_config(tmp_path))
     out = tmp_path / "out"
-    results = run_experiment(cfg, str(out))
+    results = run_experiment(Config({**cfg.values, "out.dir": str(out)}))
     run_dir = out / "seed_1993"
     assert (run_dir / "results.csv").exists()
     assert (run_dir / "strategy.csv").exists()
@@ -139,7 +139,7 @@ def test_run_experiment_outputs(tmp_path):
 def test_strategy_log_completeness(tmp_path):
     cfg = parse_config(quick_config(tmp_path))
     out = tmp_path / "out"
-    run_experiment(cfg, str(out))
+    run_experiment(Config({**cfg.values, "out.dir": str(out)}))
     report = json.loads((out / "seed_1993" / "report.json").read_text())
     stream = build_stream(cfg, 1993)
     for row, task in zip(report["strategy_counts"], stream.tasks):
@@ -149,8 +149,8 @@ def test_strategy_log_completeness(tmp_path):
 def test_run_determinism_byte_identical(tmp_path):
     cfg = parse_config(quick_config(tmp_path))
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    run_experiment(cfg, str(out1))
-    run_experiment(cfg, str(out2))
+    run_experiment(Config({**cfg.values, "out.dir": str(out1)}))
+    run_experiment(Config({**cfg.values, "out.dir": str(out2)}))
     for name in ("results.csv", "strategy.csv"):
         b1 = (out1 / "seed_1993" / name).read_bytes()
         b2 = (out2 / "seed_1993" / name).read_bytes()
@@ -160,7 +160,7 @@ def test_run_determinism_byte_identical(tmp_path):
 def test_multi_seed_summary(tmp_path):
     cfg = parse_config(quick_config(tmp_path, **{"run.seeds": "1,2"}))
     out = tmp_path / "out"
-    run_experiment(cfg, str(out))
+    run_experiment(Config({**cfg.values, "out.dir": str(out)}))
     lines = (out / "summary.csv").read_text().splitlines()
     assert lines[0] == "seed,A_bar,A_T"
     assert len(lines) == 1 + 2 + 2  # per-seed rows + mean + std
@@ -188,14 +188,14 @@ def test_numeric_failure_writes_marker(tmp_path):
     cfg = parse_config(quick_config(tmp_path, **{"train.weight_decay": "1e200"}))
     out = tmp_path / "out"
     with pytest.raises(Exception):
-        run_experiment(cfg, str(out))
+        run_experiment(Config({**cfg.values, "out.dir": str(out)}))
     assert (out / "FAILED").exists()
 
 
 def test_ablation_grid_rows(tmp_path):
     cfg = parse_config(quick_config(tmp_path, **{"train.epochs": 2}))
     out = tmp_path / "out"
-    rows = run_ablation(cfg, str(out))
+    rows = run_ablation(Config({**cfg.values, "out.dir": str(out)}))
     assert [r["cell"] for r in rows] == ["baseline", "se_only", "ac_only", "full"]
     assert (out / "ablation.csv").exists()
 
@@ -242,7 +242,8 @@ def test_readme_config_table_lists_every_key():
 
 def test_ablation_param_reg_rows(tmp_path):
     cfg = parse_config(quick_config(tmp_path, **{"train.epochs": 2}))
-    rows = run_ablation(cfg, str(tmp_path / "out"), param_reg=True)
+    rows = run_ablation(Config({**cfg.values, "out.dir": str(tmp_path / "out")}),
+                        param_reg=True)
     assert [r["cell"] for r in rows[4:]] == ["param_reg_up", "param_reg_down",
                                              "param_reg_both"]
 
@@ -250,7 +251,7 @@ def test_ablation_param_reg_rows(tmp_path):
 def test_chart_emitted(tmp_path):
     cfg = parse_config(quick_config(tmp_path, **{"out.chart": "true"}))
     out = tmp_path / "out"
-    run_experiment(cfg, str(out))
+    run_experiment(Config({**cfg.values, "out.dir": str(out)}))
     svg = (out / "seed_1993" / "chart.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
 
@@ -263,6 +264,41 @@ def test_cli_run_and_eval_roundtrip(tmp_path, capsys):
                  str(cfg_path)]) == 0
     captured = capsys.readouterr()
     assert "A_T=" in captured.out
+
+
+def test_shorter_rerun_leaves_no_output_of_the_longer_run(tmp_path, monkeypatch,
+                                                          capsys):
+    cfg_path, out = quick_config(tmp_path), tmp_path / "o"
+    run_dir = out / "seed_1993"
+    monkeypatch.setenv("SGDS_TASKS_COUNT", "6")
+    monkeypatch.setenv("SGDS_OUT_CHART", "true")
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    assert (run_dir / "chart.svg").exists()
+    assert len(os.listdir(run_dir / "checkpoint")) == 6 + 2
+    monkeypatch.delenv("SGDS_TASKS_COUNT")  # the file's tasks.count = 3
+    monkeypatch.delenv("SGDS_OUT_CHART")
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(os.listdir(run_dir)) == ["checkpoint", "counters.csv",
+                                           "report.json", "results.csv",
+                                           "strategy.csv"]
+    assert sorted(os.listdir(run_dir / "checkpoint")) == [
+        "adapter_000.sgdsadp", "adapter_001.sgdsadp", "adapter_002.sgdsadp",
+        "counters.csv", "stats.bin"]
+    capsys.readouterr()
+    assert main(["eval", str(run_dir / "checkpoint"), str(cfg_path)]) == 0
+    _, _, a_final = read_results_csv(run_dir / "results.csv")
+    assert capsys.readouterr().out.splitlines()[-1] == f"A_T={a_final:.4f}"
+
+
+def test_cli_out_sets_out_dir(tmp_path, monkeypatch, capsys):
+    cfg_path, out = quick_config(tmp_path), tmp_path / "o"
+    monkeypatch.setenv("SGDS_OUT_DIR", str(tmp_path / "env"))
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads((out / "seed_1993" / "report.json").read_text())
+    assert report["config"]["out.dir"] == str(out)
+    assert not (tmp_path / "env").exists()
+    assert main(["run", str(cfg_path), "--out", ""]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_inspect_counters(tmp_path, capsys):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sgds.masking import Phase
+from sgds.checkpoint import layer_bitmap, load_adapter, save_adapter
 from sgds.model import (Adapter, Block, FrozenBackbone, block_forward,
-                        extract, layer_bitmap, load_adapter, merge_universal,
-                        save_adapter)
+                        extract, merge_universal)
 from sgds.numerics import ContractViolation
 from sgds.training import (ContinualState, TrainConfig, build_batch_tape,
                            penalty_stacks)

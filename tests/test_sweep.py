@@ -33,7 +33,7 @@ for path in (REPO, os.path.join(REPO, "src")):
 
 from perfbench.workloads import sha256_dir, sha256_file  # noqa: E402
 from sgds.cli import main  # noqa: E402
-from sgds.experiment import parse_config, run_experiment  # noqa: E402
+from sgds.experiment import Config, parse_config, run_experiment  # noqa: E402
 
 GOLDENS_PATH = os.path.join(HERE, "sweep_goldens.json")
 FILES = ("results.csv", "strategy.csv", "counters.csv")
@@ -99,7 +99,8 @@ def cell_hashes(name: str, out_dir: str) -> dict:
             os.path.join(out_dir, "base.cfg"), BASE), pool)
         values["dataset.path"] = pool
     cfg = parse_config(overrides=values)
-    (result,) = run_experiment(cfg, os.path.join(out_dir, "run"))
+    (result,) = run_experiment(Config({**cfg.values,
+                                       "out.dir": os.path.join(out_dir, "run")}))
     run_dir = os.path.join(out_dir, "run", f"seed_{cfg.seeds[0]}")
     hashes = {f: sha256_file(os.path.join(run_dir, f)) for f in FILES}
     checkpoint = os.path.join(run_dir, "checkpoint")
