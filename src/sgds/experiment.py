@@ -314,10 +314,12 @@ def run_experiment(cfg: Config) -> list[RunResult]:
     out_dir = cfg["out.dir"]
     streams = {seed: build_stream(cfg, seed) for seed in cfg.seeds}
     os.makedirs(out_dir, exist_ok=True)
-    for name in os.listdir(out_dir):  # every earlier run's seed directories
+    for name in os.listdir(out_dir):  # every earlier run's seed directories and summary
         path = os.path.join(out_dir, name)
         if re.fullmatch(r"seed_-?\d+", name) and os.path.isdir(path):
             shutil.rmtree(path)
+        elif name == "summary.csv":
+            os.remove(path)
     results = []
     for seed in cfg.seeds:
         run_dir = os.path.join(out_dir, f"seed_{seed}")

@@ -1,6 +1,7 @@
 """Per-task training loop, classifier construction, and prototype alignment."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -361,6 +362,11 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     params = {"head_new": np.zeros((d, len(task.classes)))}
     for l in state.target_layers:
         params[f"wd_{l}"], params[f"wu_{l}"] = adapter.layers[l]
+    # every parameter becomes a view of one flat vector, which one check reads
+    flat = np.concatenate([w.ravel() for w in params.values()])
+    parts = np.split(flat, np.cumsum([w.size for w in params.values()])[:-1])
+    params = {k: p.reshape(w.shape) for (k, w), p in zip(params.items(), parts)}
+    adapter.layers = {l: (params[f"wd_{l}"], params[f"wu_{l}"]) for l in adapter.layers}
     slot_of = {c: i for i, c in enumerate(task.classes)}
     slots = np.array([slot_of[int(c)] for c in task.train_y], dtype=np.int64)
 
@@ -387,16 +393,17 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
                                               phase, counters, prior, mask_u, prev)
                 grads = backward(tape, params)
                 sgd_step(params, grads, velocity, lr, cfg.momentum, cfg.weight_decay)
-            # the one finite scan, in the order the values arise; the
-            # scan, not NumPy warnings, reports an overflow
-            for name, value in [("logits", tape.logits), ("loss", loss),
-                                *((f"gradient of {k}", g) for k, g in grads.items()),
-                                *params.items()]:
-                if not np.isfinite(value).all():
-                    raise NumericError(
-                        f"task {task_index + 1}, epoch {epoch}, "
-                        f"batch {start // cfg.batch + 1}: non-finite {name}")
-            del grads  # freed per batch: held longer, it shifts the heap that predict reuses
+            # one check, not NumPy warnings, reports an overflow; a non-finite gradient
+            # leaves its parameter non-finite, so only a failure scans for the first
+            if not (np.isfinite(tape.logits).all() and math.isfinite(loss)
+                    and np.isfinite(flat).all()):
+                for name, value in [("logits", tape.logits), ("loss", loss),
+                                    *((f"gradient of {k}", g) for k, g in grads.items()),
+                                    *params.items()]:
+                    if not np.isfinite(value).all():
+                        raise NumericError(
+                            f"task {task_index + 1}, epoch {epoch}, "
+                            f"batch {start // cfg.batch + 1}: non-finite {name}")
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
 

@@ -192,6 +192,18 @@ def test_numeric_failure_writes_marker(tmp_path):
     assert (out / "FAILED").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_failed_rerun_leaves_no_summary_of_the_earlier_run(tmp_path,
+                                                           monkeypatch):
+    cfg_path, out = quick_config(tmp_path), tmp_path / "o"
+    monkeypatch.setenv("SGDS_RUN_SEEDS", "1,2")
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "summary.csv").exists()
+    monkeypatch.setenv("SGDS_TRAIN_WEIGHT_DECAY", "1e200")
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    assert sorted(os.listdir(out)) == ["FAILED", "seed_1"]
+
+
 def test_ablation_grid_rows(tmp_path):
     cfg = parse_config(quick_config(tmp_path, **{"train.epochs": 2}))
     out = tmp_path / "out"

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgds.masking import ActivationCounters, Phase
 from sgds.model import Adapter, FrozenBackbone
@@ -132,6 +134,45 @@ def test_nonfinite_parameter_raises_naming_it(monkeypatch):
     with pytest.raises(NumericError) as err:
         train_task(fresh_state(), small_stream().tasks[0], cfg, run_seed=0)
     assert str(err.value) == "task 1, epoch 2, batch 2: non-finite wu_1"
+
+
+def test_a_non_finite_gradient_is_named_before_its_parameter(monkeypatch):
+    """train_task's one check sees a gradient only through its parameter;
+    the scan after a failure still names the gradient, which comes first."""
+    from test_training import fresh_state, small_config, small_stream
+    calls = []
+
+    def poisoned_backward(tape, params):
+        grads = backward(tape, params)
+        calls.append(None)
+        if len(calls) == 5:  # 48 samples in batches of 16: epoch 2, batch 2
+            grads["wd_1"][2, 1] = np.inf
+        return grads
+
+    monkeypatch.setattr(training, "backward", poisoned_backward)
+    with pytest.raises(NumericError) as err:
+        train_task(fresh_state(), small_stream().tasks[0], small_config(), run_seed=0)
+    assert str(err.value) == "task 1, epoch 2, batch 2: non-finite gradient of wd_1"
+
+
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=400, deadline=None)
+@given(lr=st.floats(), momentum=st.floats(), weight_decay=st.floats(),
+       entries=st.lists(st.tuples(st.floats(), st.floats(),
+                                  st.one_of(st.floats(), NON_FINITE)),
+                        min_size=1, max_size=6),
+       fresh=st.booleans())
+def test_a_non_finite_gradient_leaves_its_parameter_non_finite(
+        lr, momentum, weight_decay, entries, fresh):
+    # the invariant behind train_task's one check: after a step, every
+    # parameter entry whose gradient entry is non-finite is non-finite
+    p, v, g = (np.array(column) for column in zip(*entries))
+    params, velocity = {"w": p}, ({} if fresh else {"w": v})
+    with np.errstate(all="ignore"):
+        sgd_step(params, {"w": g}, velocity, lr, momentum, weight_decay)
+    assert not np.isfinite(params["w"][~np.isfinite(g)]).any()
 
 
 def test_the_batch_step_leaves_the_finite_scan_to_train_task():
