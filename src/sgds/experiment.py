@@ -229,6 +229,7 @@ def run_single(cfg: Config, seed: int, stream) -> RunResult:
     backbone = FrozenBackbone.create(cfg["model.layers"], cfg["model.dim"])
     state = ContinualState(backbone, cfg.target_layers, cfg["sgds.k"],
                            cfg["sgds.enabled"])
+    state.prefixes = {}  # no one else sees the state or the sets until it returns
     t_total = len(stream.tasks)
     matrix = np.full((t_total, t_total), np.nan)
     seconds = []
@@ -238,6 +239,7 @@ def run_single(cfg: Config, seed: int, stream) -> RunResult:
         sets = [(tk.test_x, tk.test_y) for tk in stream.tasks[: t + 1]]
         matrix[t, : t + 1] = evaluate_row(state, sets)
         seconds.append(time.perf_counter() - t0)
+    state.prefixes = None
     a_bar, a_final = summarize(matrix)
     return RunResult(seed, matrix, a_bar, a_final, state, seconds)
 

@@ -4,18 +4,33 @@ from __future__ import annotations
 import numpy as np
 
 from .masking import top_k_mask
-from .model import Adapter, extract, merge_universal
+from .model import Adapter, extract, frozen_prefix, merge_universal
 from .numerics import ContractViolation
+
+
+def _mask_hook(state):
+    """Deterministic Top-``k`` at target layers if the state is masked."""
+    return (lambda layer, a: a * top_k_mask(a, state.k)) if state.masked else None
 
 
 def embed(x: np.ndarray, state, adapters: list[Adapter]) -> list[np.ndarray]:
     """Final-block embedding per adapter under the state's backbone, target
-    layers and masking switch: deterministic Top-``k`` at target layers if masked."""
-    hook = None
-    if state.masked:
-        def hook(layer, a):
-            return a * top_k_mask(a, state.k)
-    return extract(x, state.backbone, adapters, state.target_layers, hook)
+    layers and masking switch; ``x`` may be its ``_prefix`` pair."""
+    return extract(x, state.backbone, adapters, state.target_layers,
+                   _mask_hook(state))
+
+
+def _prefix(key, x: np.ndarray, state):
+    """``x``, or, while ``run_single`` holds the cache ``state.prefixes``
+    open, the ``frozen_prefix`` pair of ``key``, the caller's array object.
+    An entry holds ``key``, so its ``id`` is not reused while the cache is."""
+    if state.prefixes is None:
+        return x
+    hit = state.prefixes.get(id(key))
+    if hit is None or hit[0] is not key:
+        hit = state.prefixes[id(key)] = (key, frozen_prefix(
+            x, state.backbone, state.target_layers[0], _mask_hook(state)))
+    return hit[1]
 
 
 def _entropy(probs: np.ndarray) -> np.ndarray:
@@ -56,8 +71,8 @@ def predict(x: np.ndarray, state) -> np.ndarray:
     """Ensemble of the selected task adapter and the universal (merged) adapter."""
     if not state.adapters:
         raise ContractViolation("no trained adapter to select from")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    *feats, uni_feats = embed(x, state,
+    key, x = x, np.atleast_2d(np.asarray(x, dtype=np.float64))
+    *feats, uni_feats = embed(_prefix(key, x, state), state,
                               [*state.adapters, _universal_adapter(state)])
     per_adapter = np.stack([f @ state.classifier.T for f in feats])
     t_star = select_by_entropy(per_adapter)

@@ -100,6 +100,20 @@ def frozen_forward(x: np.ndarray, blocks) -> np.ndarray:
     return x
 
 
+def frozen_prefix(x: np.ndarray, backbone: FrozenBackbone, first: int,
+                  mask_hook=None) -> tuple[np.ndarray, np.ndarray]:
+    """What every adapter shares: ``a``, ``x`` through the blocks before
+    ``first`` and ``mask_hook(first, ·)``, and ``base``, block ``first``'s
+    ``a + MLP(a)``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        raise ContractViolation("empty input")
+    a = frozen_forward(x, backbone.blocks[:first])
+    if mask_hook is not None:
+        a = mask_hook(first, a)
+    return a, block_forward(a, backbone.blocks[first])
+
+
 def extract(x: np.ndarray, backbone: FrozenBackbone, adapters: list[Adapter],
             target_layers: tuple[int, ...], mask_hook=None) -> list[np.ndarray]:
     """Run the backbone under each adapter; returns one φ(x) per adapter.
@@ -107,24 +121,19 @@ def extract(x: np.ndarray, backbone: FrozenBackbone, adapters: list[Adapter],
     Every adapter holds weights at exactly ``target_layers``.
     ``mask_hook(layer, x) -> x`` is applied only at target layers, to the
     activation before it is fed to the block.  Up to the first target layer
-    every adapter sees the same activation, so the blocks before it, the hook
-    there and that block's frozen ``x + MLP(x)`` run once; the adapter terms
-    and the later blocks run per adapter.  Each output is the same floats as
-    a pass with that adapter alone: every matmul sees the same operands.
+    every adapter sees the same activation, so ``frozen_prefix`` runs once (or
+    ``x`` is its pair); the adapter terms and the later blocks run per adapter.
+    Each output is the same floats as a pass with that adapter alone: every
+    matmul sees the same operands.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise ContractViolation("empty input")
     layers = tuple(sorted(target_layers))
     if not layers or layers[0] < 0 or layers[-1] >= backbone.num_blocks:
         raise ContractViolation("target layers empty or out of range")
     if any(a.target_layers != layers for a in adapters):
         raise ContractViolation("adapter layers differ from the target layers")
     first = layers[0]
-    a = frozen_forward(x, backbone.blocks[:first])
-    if mask_hook is not None:
-        a = mask_hook(first, a)
-    base = block_forward(a, backbone.blocks[first])
+    a, base = (x if isinstance(x, tuple)
+               else frozen_prefix(x, backbone, first, mask_hook))
     feats = []
     for adapter in adapters:
         w = adapter.layers

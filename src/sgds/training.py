@@ -70,6 +70,8 @@ class ContinualState:
     task_logs: list[TaskLog] = field(default_factory=list)
     # (adapters merged, their universal adapter); see inference.predict
     universal: tuple | None = field(default=None, repr=False, compare=False)
+    # id(test set) -> (that set, its frozen prefix) in run_single; inference._prefix
+    prefixes: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.k <= 1.0:
@@ -129,8 +131,8 @@ def align_old_prototypes(state: ContinualState, f_new: np.ndarray,
     for c, (mean, var) in state.class_stats.items():
         if align_samples > 0:
             rng = stream_rng(run_seed, TAG_ALIGN, task_index, c)
-            pseudo = rng.normal(loc=mean, scale=np.sqrt(var),
-                                size=(align_samples, mean.size))
+            pseudo = mean + np.sqrt(var) * rng.standard_normal(
+                (align_samples, mean.size))
             aligned[c] = (pseudo + delta).mean(axis=0)
         else:
             aligned[c] = mean + delta
@@ -409,16 +411,22 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
 
     # phase 3: statistics, alignment, classifier rebuild
     # the new adapter's features, then the previous adapter's for the drift
-    feats = embed(task.train_x, state, [adapter, *state.adapters[-1:]])
-    aligned = align_old_prototypes(state, feats[0], feats[-1],
-                                   cfg.align_samples, run_seed, task_index)
-    class_stats = {c: (aligned.get(c, mean), var)
-                   for c, (mean, var) in state.class_stats.items()}
-    class_stats.update(fit_class_gaussians(
-        {c: feats[0][task.train_y == c] for c in task.classes}))
-    class_ids = [*state.class_ids, *task.classes]
-    classifier = build_classifier(
-        {c: class_stats[c][0] for c in class_ids}, class_ids)
+    with np.errstate(over="ignore", invalid="ignore"):
+        feats = embed(task.train_x, state, [adapter, *state.adapters[-1:]])
+        aligned = align_old_prototypes(state, feats[0], feats[-1],
+                                       cfg.align_samples, run_seed, task_index)
+        class_stats = {c: (aligned.get(c, mean), var)
+                       for c, (mean, var) in state.class_stats.items()}
+        class_stats.update(fit_class_gaussians(
+            {c: feats[0][task.train_y == c] for c in task.classes}))
+        class_ids = [*state.class_ids, *task.classes]
+        classifier = build_classifier(
+            {c: class_stats[c][0] for c in class_ids}, class_ids)
+    # finite weights can still embed to ±inf, which sgds eval would refuse
+    checked = [feats[0], classifier, *(v for mv in class_stats.values() for v in mv)]
+    if not np.isfinite(np.concatenate([a.ravel() for a in checked])).all():
+        raise NumericError(f"task {task_index + 1}: non-finite features, class "
+                           "statistics or classifier after training")
 
     # commit: the only place the task changes the state
     base = state.counters.add_task(task.classes)

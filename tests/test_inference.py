@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sgds import inference
+from sgds import inference, model
 from sgds.checkpoint import load_state, save_state
+from sgds.experiment import build_stream, parse_config, run_single
 from sgds.inference import (embed, evaluate_row, predict, select_by_entropy,
                             summarize)
 from sgds.masking import top_k_mask
@@ -277,3 +278,64 @@ def test_universal_cache_follows_the_adapter_list(tmp_path):
     appended.adapters.append(fresh.adapters[-1])
     appended.classifier, appended.class_ids = fresh.classifier, fresh.class_ids
     np.testing.assert_array_equal(predict(x, appended), after_training)
+
+
+RUN = {"model.dim": "16", "dataset.groups": "3", "dataset.classes_per_group": "2",
+       "tasks.count": "3", "dataset.train_per_class": "8",
+       "dataset.test_per_class": "4", "adapter.rank": "4", "train.epochs": "2",
+       "align.samples": "16"}
+
+
+def small_run(**overrides):
+    cfg = parse_config(None, {**RUN, **overrides})
+    stream = build_stream(cfg, 1993)
+    return run_single(cfg, 1993, stream), stream
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"sgds.target_layers": "1,3"},
+    {"sgds.enabled": "false", "sgds.target_layers": "0,2"}],
+    ids=["masked-last", "masked-1-3", "unmasked-0-2"])
+def test_a_cached_prefix_scores_the_same_bytes_as_a_fresh_pass(overrides):
+    res, stream = small_run(**overrides)
+    state = res.state
+    one_row = stream.tasks[0].test_x[:1].copy()  # a 1-row matmul takes gemv
+    sets = [one_row, *(t.test_x for t in stream.tasks)]
+    fresh = [predict(x, state) for x in sets]
+    adapters = [*state.adapters, inference._universal_adapter(state)]
+    feats = [embed(x, state, adapters) for x in sets]
+    state.prefixes = {}
+    for _ in range(2):  # a miss, then a hit
+        for x, f in zip(sets, fresh):
+            assert predict(x, state).tobytes() == f.tobytes()
+    assert len(state.prefixes) == len(sets)
+    for x, f in zip(sets, feats):
+        cached = embed(state.prefixes[id(x)][1], state, adapters)
+        assert [c.tobytes() for c in cached] == [g.tobytes() for g in f]
+
+
+def test_run_single_closes_its_cache_and_scores_an_edited_set_afresh():
+    res, stream = small_run()
+    assert res.state.prefixes is None
+    x, other = stream.tasks[0].test_x, stream.tasks[1].test_x
+    before = predict(x, res.state)
+    x[:] = other
+    after = predict(x, res.state)
+    assert after.tobytes() == predict(other.copy(), res.state).tobytes()
+    assert after.tobytes() != before.tobytes()
+
+
+def test_run_single_computes_each_test_sets_prefix_once(monkeypatch):
+    # one frozen prefix per test set and run, though every later task scores it
+    calls = []
+    real = model.frozen_prefix
+
+    def counting(x, *args):
+        calls.append(x)
+        return real(x, *args)
+
+    monkeypatch.setattr(model, "frozen_prefix", counting)
+    monkeypatch.setattr(inference, "frozen_prefix", counting)
+    res, stream = small_run(**{"tasks.count": "6"})
+    assert res.matrix.shape == (6, 6)
+    assert [sum(c is t.test_x for c in calls) for t in stream.tasks] == [1] * 6

@@ -6,6 +6,7 @@ import pytest
 from sgds import training
 from sgds.checkpoint import load_state, save_state
 from sgds.data import SyntheticSpec, compute_prototypes, generate_synthetic
+from sgds.experiment import build_stream, parse_config, run_single
 from sgds.inference import embed
 from sgds.masking import ActivationCounters, Phase, Strategy
 from sgds.model import Block, FrozenBackbone, block_forward, frozen_forward
@@ -250,6 +251,31 @@ def test_a_non_finite_head_row_fails_the_first_batch_at_its_logits():
     with pytest.raises(NumericError) as err:
         train_task(state, stream.tasks[1], small_config(), run_seed=3)
     assert str(err.value) == "task 2, epoch 1, batch 1: non-finite logits"
+
+
+@pytest.mark.filterwarnings("error")
+def test_features_that_overflow_after_training_raise_before_the_commit():
+    # every batch stays finite, but the trained adapter embeds task 3 to ±inf;
+    # the class statistics and classifier built from that are not committed
+    cfg = parse_config(None, {
+        "model.dim": 16, "dataset.groups": 3, "dataset.classes_per_group": 2,
+        "tasks.count": 3, "dataset.train_per_class": 5,
+        "dataset.test_per_class": 2, "adapter.rank": 4, "train.epochs": 4,
+        "train.lr": 10, "train.momentum": 0.9, "sgds.enabled": "false",
+        "sgds.target_layers": "0,1,2,3"})
+    stream = build_stream(cfg, 1)
+    with pytest.raises(NumericError) as err:
+        run_single(cfg, 1, stream)
+    assert str(err.value) == ("task 3: non-finite features, class statistics "
+                              "or classifier after training")
+    state = ContinualState(FrozenBackbone.create(4, 16), cfg.target_layers,
+                           cfg["sgds.k"], False)
+    for task in stream.tasks[:2]:
+        train_task(state, task, cfg.train_config(), run_seed=1)
+    classifier = state.classifier.tobytes()
+    with pytest.raises(NumericError):
+        train_task(state, stream.tasks[2], cfg.train_config(), run_seed=1)
+    assert len(state.adapters) == 2 and state.classifier.tobytes() == classifier
 
 
 @pytest.mark.parametrize("batch", [16, 47])
