@@ -61,18 +61,18 @@ _SCHEMA: dict[str, tuple] = {
     "adapter.rank": (int, _TRAIN["adapter_rank"], 1),
     "sgds.enabled": (_to_bool, True, None),
     "sgds.k": (float, 0.6, None),
-    "sgds.beta": (float, _TRAIN["beta"], None),
-    "sgds.gamma": (float, _TRAIN["gamma"], None),
+    "sgds.beta": (float, _TRAIN["beta"], 0.0),
+    "sgds.gamma": (float, _TRAIN["gamma"], 0.0),
     "sgds.target_layers": (str, "last", None),
     "sgds.se": (_to_bool, True, None),
     "sgds.ac": (_to_bool, True, None),
     "train.epochs": (int, _TRAIN["epochs"], 1),
     "train.batch": (int, _TRAIN["batch"], 1),
-    "train.lr": (float, _TRAIN["lr"], None),
-    "train.momentum": (float, _TRAIN["momentum"], None),
-    "train.weight_decay": (float, _TRAIN["weight_decay"], None),
+    "train.lr": (float, _TRAIN["lr"], 0.0),
+    "train.momentum": (float, _TRAIN["momentum"], 0.0),
+    "train.weight_decay": (float, _TRAIN["weight_decay"], 0.0),
     "baseline.param_reg.mode": (str, _TRAIN["param_reg_mode"], None),
-    "baseline.param_reg.lambda": (float, _TRAIN["param_reg_lambda"], None),
+    "baseline.param_reg.lambda": (float, _TRAIN["param_reg_lambda"], 0.0),
     "align.samples": (int, _TRAIN["align_samples"], 0),
     "run.seeds": (_to_seeds, (), None),
     "out.dir": (str, "runs", None),
@@ -89,10 +89,10 @@ class Config:
     def __post_init__(self):
         v = self.values
         for key, (conv, _, low) in _SCHEMA.items():
-            if low is not None and v[key] < low:
-                raise ContractViolation(f"{key} must be at least {low}, got {v[key]}")
             if conv is float and not math.isfinite(v[key]):
                 raise ContractViolation(f"{key} must be finite, got {v[key]}")
+            if low is not None and v[key] < low:
+                raise ContractViolation(f"{key} must be at least {low}, got {v[key]}")
         if v["model.dim"] >= 1 << 29:  # the SGDSEMB1 dim bound
             raise ContractViolation(
                 f"model.dim must be below 2^29, got {v['model.dim']}")

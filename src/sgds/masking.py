@@ -66,7 +66,8 @@ class ActivationCounters:
     def record(self, rows: int | np.ndarray, layer: int,
                support: np.ndarray) -> None:
         """Count selected units: ``support`` is ``(..., width)`` booleans and
-        ``rows`` the ``F_c`` row of each support row (or one for all)."""
+        ``rows`` the ``F_c`` row of each support row (or one for all).  The
+        counts are summed by one 0/1 product of a row one-hot and ``support``."""
         f_c = self.layer(layer)
         support = np.asarray(support, dtype=bool)
         if support.shape[-1:] != f_c.shape[1:]:
@@ -74,8 +75,10 @@ class ActivationCounters:
         rows = np.broadcast_to(rows, support.shape[:-1]).ravel()
         if rows.size and not 0 <= rows.min() <= rows.max() < len(self.class_ids):
             raise ContractViolation("a counter row was never handed out")
-        # add.at, not fancy-index +=, so repeated rows all count
-        np.add.at(f_c, rows, support.reshape(-1, f_c.shape[1]).astype(np.int64))
+        # a 0/1 product sums repeated rows exactly (below 2^53), as add.at would
+        onehot = np.zeros((len(self.class_ids), rows.size))
+        onehot[rows, np.arange(rows.size)] = 1.0
+        f_c += (onehot @ support.reshape(-1, f_c.shape[1])).astype(np.int64)
 
     def dump_csv(self, path) -> None:
         """Textual dump: layer, unit, F, then one F_c column per seen class."""
@@ -201,7 +204,22 @@ def sparsify_and_record(x: np.ndarray, p: np.ndarray, k: float,
     if not x.shape == p.shape == np.shape(u):
         raise ContractViolation("activation, probability and uniform shapes differ")
     a = x * (u < p)
-    out = a * top_k_mask(a, k)
+    # one partition finds each row's ⌊k·N⌋-th largest |a|.  If every row keeps
+    # exactly ⌊k·N⌋ units at or above it, they are top_k_mask's units; if a
+    # row's threshold is 0, the units the two differ on are zeros, whose
+    # product is the same signed zero.  Other rows (ties past the cap at a
+    # nonzero threshold, NaN) take top_k_mask, which also rejects ⌊k·N⌋ < 1
+    n = a.shape[-1]
+    cap = math.floor(k * n)
+    out = None
+    if cap >= 1:
+        mag = np.abs(a)
+        thr = np.partition(mag, n - cap, axis=-1)[..., n - cap, None]
+        keep = mag >= thr
+        if ((keep.sum(axis=-1, keepdims=True) == cap) | (thr == 0.0)).all():
+            out = a * keep
+    if out is None:
+        out = a * top_k_mask(a, k)
     if counters is not None:
         if rows is None or layer is None:
             raise ContractViolation("recording requires counter rows and a layer")

@@ -46,8 +46,13 @@ def stream_rng(*parts: int) -> np.random.Generator:
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
-_PHILOX_M = (_U(0xD2E7470EE14C6C93), _U(0xCA5A826395121157))
-_PHILOX_W = (_U(0x9E3779B97F4A7C15), _U(0xBB67AE8584CAA73B))
+# the round multipliers of words 0 and 2, as a (2, 1, 1) column and its
+# 32-bit halves, and the two Weyl increments of the key schedule
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
+                     dtype=np.uint64)[:, None, None]
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _M32, _PHILOX_M >> _U(32)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
+                     dtype=np.uint64)[:, None, None]
 
 
 def _splitmix64_array(z: np.ndarray) -> np.ndarray:
@@ -57,14 +62,23 @@ def _splitmix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U(31))
 
 
-def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit product, from 32-bit halves."""
-    a_lo, a_hi = a & _M32, a >> _U(32)
-    b_lo, b_hi = b & _M32, b >> _U(32)
-    t = a_lo * b_lo
-    u = a_hi * b_lo + (t >> _U(32))
-    v = a_lo * b_hi + (u & _M32)
-    return a_hi * b_hi + (u >> _U(32)) + (v >> _U(32)), a * b
+def _mulhi_into(b: np.ndarray, lo: np.ndarray, mid: np.ndarray,
+                hi: np.ndarray) -> None:
+    """``hi`` = high word of ``_PHILOX_M · b`` from 32-bit halves; ``lo`` and
+    ``mid`` are scratch of ``b``'s shape."""
+    np.bitwise_and(b, _M32, out=lo)
+    np.right_shift(b, _U(32), out=hi)
+    np.multiply(lo, _PHILOX_M_LO, out=mid)
+    mid >>= _U(32)
+    lo *= _PHILOX_M_HI
+    lo += mid                                # u = a_hi·b_lo + (a_lo·b_lo >> 32)
+    np.bitwise_and(lo, _M32, out=mid)
+    lo >>= _U(32)
+    mid += np.multiply(hi, _PHILOX_M_LO)     # v = a_lo·b_hi + (u & M32)
+    mid >>= _U(32)
+    hi *= _PHILOX_M_HI
+    hi += lo
+    hi += mid                                # a_hi·b_hi + (u >> 32) + (v >> 32)
 
 
 def stream_uniforms(keys, n: int) -> np.ndarray:
@@ -74,23 +88,33 @@ def stream_uniforms(keys, n: int) -> np.ndarray:
     Philox is counter-based, so every stream is computed at once: NumPy
     increments the counter before its first block, so block ``b`` is
     Philox4x64-10 of counter ``b + 1`` under the row's key, and each 64-bit
-    word ``w`` becomes the double ``(w >> 11) · 2⁻⁵³``.
+    word ``w`` becomes the double ``(w >> 11) · 2⁻⁵³``.  The ten rounds run
+    in place on ``(2, m, blocks)`` buffers: words 0 and 2, which the round
+    multiplies, and words 1 and 3.
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    h = np.zeros(len(keys), dtype=np.uint64)
+    m = len(keys)
+    h = np.zeros(m, dtype=np.uint64)
     for p in keys.T:
         h = _splitmix64_array(h ^ p)
-    k0 = _splitmix64_array(h)[:, None]
-    k1 = _splitmix64_array(k0)
+    key = np.empty((2, m, 1), dtype=np.uint64)
+    key[0, :, 0] = _splitmix64_array(h)
+    key[1, :, 0] = _splitmix64_array(key[0, :, 0])
     n_blocks = -(-n // 4)
-    zero = np.zeros((len(keys), n_blocks), dtype=np.uint64)
-    c0 = zero + np.arange(1, n_blocks + 1, dtype=np.uint64)
-    c1 = c2 = c3 = zero
+    even = np.zeros((2, m, n_blocks), dtype=np.uint64)  # words 0 and 2
+    even[0] = np.arange(1, n_blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)                           # words 1 and 3
+    lo, mid, hi = (np.empty_like(even) for _ in range(3))
     for r in range(10):
         if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), 4 * n_blocks)
-    return (words[:, :n] >> _U(11)) * (1.0 / 9007199254740992.0)
+            key += _PHILOX_W
+        _mulhi_into(even, lo, mid, hi)
+        even *= _PHILOX_M
+        # words 0, 2 <- hi(2) ^ word 1 ^ k0, hi(0) ^ word 3 ^ k1;
+        # words 1, 3 <- lo(2), lo(0)
+        odd ^= key
+        np.bitwise_xor(hi[::-1], odd, out=odd)
+        even, odd = odd, even[::-1]
+    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
+    words = words.reshape(m, 4 * n_blocks)[:, :n] >> _U(11)
+    return words * (1.0 / 9007199254740992.0)

@@ -16,6 +16,9 @@ from .numerics import ContractViolation, NumericError, cosine_lr, sgd_step
 from .rng import TAG_ALIGN, TAG_MASK, TAG_SHUFFLE, stream_rng, stream_uniforms
 
 VAR_FLOOR = 1e-6
+# rows of mask uniforms drawn per call: as many whole epochs as fit, at least
+# one.  Larger draws run faster but raise the peak heap
+MASK_TILE_ROWS = 512
 # param_reg mode -> the penalised sides, as (parameter prefix, Adapter.layers
 # index), in the penalty's summation order: down before up
 PENALISED = {"off": (), "down": (("wd", 0),), "up": (("wu", 1),),
@@ -149,20 +152,23 @@ def _phase_on(cfg: TrainConfig, phase: Phase) -> bool:
     return cfg.se_enabled if phase is Phase.EXPLORATION else cfg.ac_enabled
 
 
-def _epoch_mask_uniforms(run_seed, task_index, epoch, n, batch, layers, width):
-    """Mask uniforms for one epoch's ``n`` rows in batch order, per layer.
+def _epoch_mask_uniforms(run_seed, task_index, epochs, n, batch, layers, width):
+    """Mask uniforms for the ``n`` rows of each of ``epochs`` in batch order:
+    ``{layer: (len(epochs), n, width)}``, one draw per layer.
 
     Row ``r`` is sample ``r % batch`` of batch ``r // batch``; its uniforms
     are the stream ``(run_seed, TAG_MASK, task, epoch, batch, sample, layer)``.
     """
     r = np.arange(n, dtype=np.uint64)
-    keys = np.empty((n, 7), dtype=np.uint64)
-    keys[:, :4] = (run_seed % (1 << 64), TAG_MASK, task_index, epoch)
-    keys[:, 4], keys[:, 5] = r // np.uint64(batch), r % np.uint64(batch)
+    keys = np.empty((len(epochs), n, 7), dtype=np.uint64)
+    keys[..., :3] = (run_seed % (1 << 64), TAG_MASK, task_index)
+    keys[..., 3] = np.asarray(epochs, dtype=np.uint64)[:, None]
+    keys[..., 4], keys[..., 5] = r // np.uint64(batch), r % np.uint64(batch)
+    keys = keys.reshape(-1, 7)
     uniforms = {}
     for l in layers:
         keys[:, 6] = l
-        uniforms[l] = stream_uniforms(keys, width)
+        uniforms[l] = stream_uniforms(keys, width).reshape(len(epochs), n, width)
     return uniforms
 
 
@@ -376,14 +382,22 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     velocity = {}
     epoch_losses, epoch_phases = [], []
     n = len(task.train_y)
+    masked_epochs = [e for e in range(1, cfg.epochs + 1) if state.masked
+                     and _phase_on(cfg, _epoch_phase(e, cfg.epochs))]
+    tile, tile_u = [], {}
     for epoch in range(1, cfg.epochs + 1):
         lr = cosine_lr(epoch - 1, cfg.epochs, cfg.lr)
         phase = _epoch_phase(epoch, cfg.epochs)
         epoch_phases.append(phase)
         order = stream_rng(run_seed, TAG_SHUFFLE, task_index, epoch).permutation(n)
-        epoch_u = (_epoch_mask_uniforms(run_seed, task_index, epoch, n,
-                                        cfg.batch, state.target_layers, d)
-                   if state.masked and _phase_on(cfg, phase) else {})
+        epoch_u = {}
+        if epoch in masked_epochs:
+            if epoch not in tile:  # the next masked epochs, one tile's worth;
+                i = masked_epochs.index(epoch)  # the old tile goes before the draw
+                tile, tile_u = masked_epochs[i:i + max(1, MASK_TILE_ROWS // n)], {}
+                tile_u = _epoch_mask_uniforms(run_seed, task_index, tile, n,
+                                              cfg.batch, state.target_layers, d)
+            epoch_u = {l: u[tile.index(epoch)] for l, u in tile_u.items()}
         losses = []
         for start in range(0, n, cfg.batch):
             idx = order[start:start + cfg.batch]

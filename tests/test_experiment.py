@@ -335,6 +335,17 @@ BAD_VALUES = [("SGDS_TRAIN_BATCH", "0", "must be at least 1"),
               ("SGDS_TRAIN_LR", "nan", "must be finite"),
               ("SGDS_TRAIN_MOMENTUM", "inf", "must be finite"),
               ("SGDS_SGDS_BETA", "-inf", "must be finite"),
+              # a negative rate, momentum or weight would train against the loss
+              ("SGDS_TRAIN_LR", "-0.5", "train.lr must be at least 0.0, got -0.5"),
+              ("SGDS_TRAIN_MOMENTUM", "-0.1",
+               "train.momentum must be at least 0.0, got -0.1"),
+              ("SGDS_TRAIN_WEIGHT_DECAY", "-1e-4",
+               "train.weight_decay must be at least 0.0, got -0.0001"),
+              ("SGDS_BASELINE_PARAM_REG_LAMBDA", "-2",
+               "baseline.param_reg.lambda must be at least 0.0, got -2.0"),
+              ("SGDS_SGDS_BETA", "-0.5", "sgds.beta must be at least 0.0, got -0.5"),
+              ("SGDS_SGDS_GAMMA", "-1e-300",
+               "sgds.gamma must be at least 0.0, got -1e-300"),
               ("SGDS_TASKS_COUNT", "0", "tasks.count must be at least 1"),
               ("SGDS_MODEL_LAYERS", "0", "model.layers must be at least 1"),
               ("SGDS_MODEL_DIM", "0", "model.dim must be at least 1"),

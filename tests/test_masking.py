@@ -448,3 +448,51 @@ def test_sparsify_rejects_mismatched_uniforms():
     with pytest.raises(ContractViolation):
         sparsify_and_record(np.ones((2, 4)), np.ones((2, 4)), 0.5,
                             np.zeros((1, 4)))
+
+
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, np.inf, -np.inf, np.nan]),
+    st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _sparsify_inputs(draw):
+    """A batch of activations (1-D or 2-D) with ties, signed zeros, all-zero,
+    all-equal, repeated and non-finite rows, its gate and a k with cap ≥ 1."""
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.one_of(
+        st.lists(VALUES, min_size=n, max_size=n),
+        st.sampled_from([0.0, -0.0, 3.0, -3.0, np.nan]).map(lambda v: [v] * n)),
+        min_size=1, max_size=3))
+    one_d = draw(st.booleans())
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=1, max_size=1 if one_d else 6))
+    x = np.array([pool[i] for i in picks])
+    p = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                               min_size=x.size, max_size=x.size))).reshape(x.shape)
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                               min_size=x.size, max_size=x.size))).reshape(x.shape)
+    k = draw(st.one_of(st.just(1.0), st.just(1.0 / n),
+                       st.integers(1, n).map(lambda c: c / n),
+                       st.floats(1.0 / n, 1.0)))
+    rows = draw(st.lists(st.integers(0, 2), min_size=len(x), max_size=len(x)))
+    if one_d:
+        return x[0], p[0], u[0], k, rows[0]
+    return x, p, u, k, np.array(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sparsify_inputs())
+def test_sparsify_and_record_equals_the_top_k_mask_product(case):
+    x, p, u, k, rows = case
+    got_c = make_counters(width=x.shape[-1], classes=(4, 0, 7))
+    with np.errstate(invalid="ignore"):
+        got = sparsify_and_record(x, p, k, u, got_c, rows, 0)
+        a = x * (u < p)
+        exp = a * top_k_mask(a, k)
+    assert got.dtype == exp.dtype and got.shape == exp.shape
+    assert got.tobytes() == exp.tobytes()
+    f_c = np.zeros((3, x.shape[-1]), dtype=np.int64)
+    np.add.at(f_c, np.broadcast_to(rows, x.shape[:-1]).ravel(),
+              (exp != 0.0).reshape(-1, x.shape[-1]).astype(np.int64))
+    np.testing.assert_array_equal(got_c.f_c[0], f_c)

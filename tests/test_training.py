@@ -351,7 +351,8 @@ def test_an_epoch_whose_phase_is_off_draws_no_mask_uniforms(se, ac, monkeypatch)
     drawn = []
 
     def recording_uniforms(keys, n):
-        drawn.append(int(keys[0, 3]))  # the epoch of the stream key
+        # every epoch of the stream keys, in the order they are drawn
+        drawn.extend(dict.fromkeys(int(e) for e in keys[:, 3]))
         return stream_uniforms(keys, n)
 
     monkeypatch.setattr(training, "stream_uniforms", recording_uniforms)
@@ -448,12 +449,37 @@ def test_param_reg_penalty_increases_loss():
 
 @pytest.mark.parametrize("run_seed", [7, -3, (1 << 64) - 1])
 def test_epoch_mask_uniforms_follow_the_per_sample_streams(run_seed):
-    n, batch, width = 11, 4, 5
-    got = _epoch_mask_uniforms(run_seed, 2, 3, n, batch, (0, 3), width)
+    n, batch, width, epochs = 11, 4, 5, (3, 4, 9)
+    got = _epoch_mask_uniforms(run_seed, 2, epochs, n, batch, (0, 3), width)
     assert sorted(got) == [0, 3]
     for l, u in got.items():
-        assert u.shape == (n, width)
-        for r in range(n):
-            exp = stream_rng(run_seed, TAG_MASK, 2, 3, r // batch, r % batch,
-                             l).random(width)
-            np.testing.assert_array_equal(u[r], exp)
+        assert u.shape == (len(epochs), n, width)
+        for i, epoch in enumerate(epochs):
+            for r in range(n):
+                exp = stream_rng(run_seed, TAG_MASK, 2, epoch, r // batch,
+                                 r % batch, l).random(width)
+                np.testing.assert_array_equal(u[i, r], exp)
+
+
+@pytest.mark.parametrize("per_class, epochs", [(24, 25), (100, 5), (128, 3), (129, 3)])
+def test_mask_uniforms_are_drawn_a_tile_of_whole_epochs_at_a_time(
+        per_class, epochs, monkeypatch):
+    # each call's buffers grow with its rows, and peak_rss_mb with them
+    calls = []
+
+    def recording_uniforms(keys, n):
+        calls.append([int(e) for e in keys[:, 3]])
+        return stream_uniforms(keys, n)
+
+    monkeypatch.setattr(training, "stream_uniforms", recording_uniforms)
+    spec = SyntheticSpec(groups=2, classes_per_group=3, dim=16,
+                         samples_per_class_train=per_class,
+                         samples_per_class_test=2, seed=0)
+    task = generate_synthetic(spec, 3, 1993).tasks[0]
+    n = len(task.train_y)
+    train_task(fresh_state(), task, small_config(epochs=epochs), run_seed=3)
+    assert max(len(c) for c in calls) <= 512
+    per = max(1, 512 // n)  # as many whole epochs as fit, at least one
+    assert [sorted(set(c)) for c in calls] == [
+        list(range(e, min(e + per, epochs + 1))) for e in range(1, epochs + 1, per)]
+    assert all(len(c) == n * len(set(c)) for c in calls)
