@@ -41,13 +41,19 @@ def _cmd_eval(args) -> int:
     cfg = parse_config(args.config)
     backbone = FrozenBackbone.create(cfg["model.layers"], cfg["model.dim"])
     state = load_state(args.checkpoint, backbone)
-    stream = build_stream(cfg, cfg.seeds[0])
-    tasks = stream.tasks[: len(state.adapters)]
-    classes = [c for t in tasks for c in t.classes]
-    if state.class_ids != classes:
+    # the first run seed whose split begins with the checkpoint's classes:
+    # two seeds that both do split those tasks alike, so their test sets match
+    misses = []
+    for seed in cfg.seeds:
+        tasks = build_stream(cfg, seed).tasks[: len(state.adapters)]
+        classes = [c for t in tasks for c in t.classes]
+        if state.class_ids == classes:
+            break
+        misses.append(classes)
+    else:
         raise ContractViolation(
             f"checkpoint classes {state.class_ids} are not the classes "
-            f"{classes} of the stream's first {len(state.adapters)} tasks")
+            f"{misses[0]} of the stream's first {len(state.adapters)} tasks")
     sets = [(t.test_x, t.test_y) for t in tasks]
     accs = evaluate_row(state, sets)
     for j, acc in enumerate(accs, 1):

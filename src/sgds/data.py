@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,11 +194,3 @@ def embeddings_to_stream(x: np.ndarray, y: np.ndarray, num_classes: int,
         train[c] = xc[:-test_per_class] if test_per_class else xc
         test[c] = xc[len(xc) - test_per_class:]
     return make_task_stream(train, test, x.shape[1], num_tasks, seed)
-
-
-def compute_prototypes(feats: np.ndarray, y: np.ndarray) -> dict[int, np.ndarray]:
-    """Class-mean of the features of each class's samples."""
-    protos = {}
-    for c in np.unique(y):
-        protos[int(c)] = feats[y == c].mean(axis=0)
-    return protos

@@ -96,6 +96,9 @@ class Config:
         if v["model.dim"] >= 1 << 29:  # the SGDSEMB1 dim bound
             raise ContractViolation(
                 f"model.dim must be below 2^29, got {v['model.dim']}")
+        if v["train.momentum"] >= 1.0:  # v = β·v + g would never decay
+            raise ContractViolation(
+                f"train.momentum must be below 1, got {v['train.momentum']}")
         if not 0.0 < v["sgds.k"] <= 1.0:
             raise ContractViolation(f"sgds.k must be in (0, 1], got {v['sgds.k']}")
         if v["adapter.rank"] > v["model.dim"] // 2:

@@ -5,7 +5,7 @@ import numpy as np
 
 from .masking import top_k_mask
 from .model import Adapter, extract, frozen_prefix, merge_universal
-from .numerics import ContractViolation
+from .numerics import ContractViolation, NumericError
 
 
 def _mask_hook(state):
@@ -72,12 +72,16 @@ def predict(x: np.ndarray, state) -> np.ndarray:
     if not state.adapters:
         raise ContractViolation("no trained adapter to select from")
     key, x = x, np.atleast_2d(np.asarray(x, dtype=np.float64))
-    *feats, uni_feats = embed(_prefix(key, x, state), state,
-                              [*state.adapters, _universal_adapter(state)])
-    per_adapter = np.stack([f @ state.classifier.T for f in feats])
-    t_star = select_by_entropy(per_adapter)
-    total = (per_adapter[t_star, np.arange(x.shape[0])]
-             + uni_feats @ state.classifier.T)
+    # one check, not NumPy warnings, reports inputs that overflow a finite state
+    with np.errstate(over="ignore", invalid="ignore"):
+        *feats, uni_feats = embed(_prefix(key, x, state), state,
+                                  [*state.adapters, _universal_adapter(state)])
+        per_adapter = np.stack([f @ state.classifier.T for f in feats])
+        t_star = select_by_entropy(per_adapter)
+        total = (per_adapter[t_star, np.arange(x.shape[0])]
+                 + uni_feats @ state.classifier.T)
+    if not np.isfinite(total).all():
+        raise NumericError("non-finite ensemble scores in predict")
     # argmax with ties resolved toward the lower class id
     row_class = np.asarray(state.class_ids, dtype=np.int64)
     is_max = total >= total.max(axis=1, keepdims=True)

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import compute_prototypes
 from .inference import embed
 from .masking import (ActivationCounters, Phase, SemanticProfile, Strategy,
                       dispatch_probability, formulate_strategy, relation_distribution,
@@ -106,14 +105,14 @@ def build_classifier(prototypes: dict[int, np.ndarray], order) -> np.ndarray:
     return np.stack(rows) if rows else np.zeros((0, 0))
 
 
-def fit_class_gaussians(features_by_class: dict[int, np.ndarray]):
-    """Per-dimension sample mean and population variance, variance floored."""
+def fit_class_gaussians(feats: np.ndarray, y: np.ndarray):
+    """``{class: (mean, variance)}`` of the rows of ``feats`` labelled with
+    each class of ``y``, in sorted class order: the per-dimension sample mean
+    and population variance, variance floored."""
     stats = {}
-    for c, feats in features_by_class.items():
-        feats = np.asarray(feats, dtype=np.float64)
-        mean = feats.mean(axis=0)
-        var = np.maximum(feats.var(axis=0), VAR_FLOOR)
-        stats[c] = (mean, var)
+    for c in np.unique(y):
+        rows = feats[y == c]
+        stats[int(c)] = (rows.mean(axis=0), np.maximum(rows.var(axis=0), VAR_FLOOR))
     return stats
 
 
@@ -153,23 +152,30 @@ def _phase_on(cfg: TrainConfig, phase: Phase) -> bool:
 
 
 def _epoch_mask_uniforms(run_seed, task_index, epochs, n, batch, layers, width):
-    """Mask uniforms for the ``n`` rows of each of ``epochs`` in batch order:
-    ``{layer: (len(epochs), n, width)}``, one draw per layer.
+    """Yield the mask uniforms of the ``n`` rows of each of ``epochs`` in
+    turn, in batch order: ``{layer: (n, width)}``.
 
     Row ``r`` is sample ``r % batch`` of batch ``r // batch``; its uniforms
     are the stream ``(run_seed, TAG_MASK, task, epoch, batch, sample, layer)``.
+    They are drawn a tile of as many whole epochs as fit ``MASK_TILE_ROWS``
+    rows at a time, at least one, one draw per layer; a tile is released
+    before the next is drawn, once the caller drops what it was given.
     """
+    per = max(1, MASK_TILE_ROWS // n)
     r = np.arange(n, dtype=np.uint64)
-    keys = np.empty((len(epochs), n, 7), dtype=np.uint64)
-    keys[..., :3] = (run_seed % (1 << 64), TAG_MASK, task_index)
-    keys[..., 3] = np.asarray(epochs, dtype=np.uint64)[:, None]
-    keys[..., 4], keys[..., 5] = r // np.uint64(batch), r % np.uint64(batch)
-    keys = keys.reshape(-1, 7)
-    uniforms = {}
-    for l in layers:
-        keys[:, 6] = l
-        uniforms[l] = stream_uniforms(keys, width).reshape(len(epochs), n, width)
-    return uniforms
+    for i in range(0, len(epochs), per):
+        tile = epochs[i:i + per]
+        keys = np.empty((len(tile), n, 7), dtype=np.uint64)
+        keys[..., :3] = (run_seed % (1 << 64), TAG_MASK, task_index)
+        keys[..., 3] = np.asarray(tile, dtype=np.uint64)[:, None]
+        keys[..., 4], keys[..., 5] = r // np.uint64(batch), r % np.uint64(batch)
+        keys = keys.reshape(-1, 7)
+        uniforms = {}
+        for l in layers:
+            keys[:, 6] = l
+            uniforms[l] = stream_uniforms(keys, width).reshape(len(tile), n, width)
+        for j in range(len(tile)):
+            yield {l: u[j] for l, u in uniforms.items()}
 
 
 @dataclass
@@ -220,8 +226,9 @@ def build_batch_tape(state, params, x, slots, cfg, phase, counters, prior, mask_
     the earlier tasks' ``F``, and the task's reuse vectors by slot.
     ``params`` maps ``head_new`` and ``wd_<l>``/``wu_<l>`` per target layer
     to the arrays ``sgd_step`` updates.
-    ``mask_u`` maps each target layer to the batch's ``(B, width)`` mask
-    uniforms; it is read only when ``state.masked`` and the phase is on.
+    When ``state.masked``, the gate at a target layer draws against the
+    batch's ``(B, width)`` uniforms in ``mask_u`` if it holds that layer's,
+    and keeps every unit if not, as in an epoch whose phase is off.
     ``prev`` is ``penalty_stacks`` of ``state.adapters``: the orthogonality
     penalty runs against every one of them, and stacks that do not match
     the adapters and the mode raise rather than drop the penalty.
@@ -232,7 +239,6 @@ def build_batch_tape(state, params, x, slots, cfg, phase, counters, prior, mask_
     if [*prev] != names or any(len(w) != m for w in prev.values()):
         raise ContractViolation(
             "penalty stacks do not match the previous adapters and param_reg mode")
-    phase_on = _phase_on(cfg, phase)
     nodes = []
     a = x
     first = state.target_layers[0]
@@ -240,13 +246,12 @@ def build_batch_tape(state, params, x, slots, cfg, phase, counters, prior, mask_
         target = l in state.target_layers
         mask = None
         if target and state.masked:
-            # the task's probability table from the counters at batch start
-            if phase_on:
+            u = mask_u.get(l)
+            if u is None:  # u < 1 for every uniform: the gate keeps every unit
+                probs, u = np.ones_like(a), np.zeros_like(a)
+            else:  # the task's probability table from the counters at batch start
                 probs = dispatch_probability(counters, l, phase, *prior[l],
                                              cfg.beta, cfg.gamma)[slots]
-                u = mask_u[l]
-            else:  # u < 1 for every uniform: the gate keeps every unit
-                probs, u = np.ones_like(a), np.zeros_like(a)
             out = sparsify_and_record(a, probs, state.k, u, counters, slots, l)
             mask = (out != 0.0).astype(np.float64)
             a = a * mask
@@ -348,8 +353,8 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
 
     # phase 1: semantic strategy formulation on frozen-backbone prototypes,
     # the prefix through the remaining blocks with no mask and no adapter
-    frozen = compute_prototypes(frozen_forward(hoisted, blocks[first:]),
-                                task.train_y)
+    frozen = {c: mean for c, (mean, _) in fit_class_gaussians(
+        frozen_forward(hoisted, blocks[first:]), task.train_y).items()}
     old = tuple(state.class_ids)
     pool = {**state.frozen_prototypes, **frozen}
     profiles = [formulate_strategy(c, relation_distribution(c, pool), old,
@@ -384,29 +389,23 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     n = len(task.train_y)
     masked_epochs = [e for e in range(1, cfg.epochs + 1) if state.masked
                      and _phase_on(cfg, _epoch_phase(e, cfg.epochs))]
-    tile, tile_u = [], {}
+    draws = _epoch_mask_uniforms(run_seed, task_index, masked_epochs, n,
+                                 cfg.batch, state.target_layers, d)
     for epoch in range(1, cfg.epochs + 1):
         lr = cosine_lr(epoch - 1, cfg.epochs, cfg.lr)
         phase = _epoch_phase(epoch, cfg.epochs)
         epoch_phases.append(phase)
         order = stream_rng(run_seed, TAG_SHUFFLE, task_index, epoch).permutation(n)
-        epoch_u = {}
-        if epoch in masked_epochs:
-            if epoch not in tile:  # the next masked epochs, one tile's worth;
-                i = masked_epochs.index(epoch)  # the old tile goes before the draw
-                tile, tile_u = masked_epochs[i:i + max(1, MASK_TILE_ROWS // n)], {}
-                tile_u = _epoch_mask_uniforms(run_seed, task_index, tile, n,
-                                              cfg.batch, state.target_layers, d)
-            epoch_u = {l: u[tile.index(epoch)] for l, u in tile_u.items()}
+        epoch_u = next(draws) if epoch in masked_epochs else {}
         losses = []
         for start in range(0, n, cfg.batch):
             idx = order[start:start + cfg.batch]
-            mask_u = {l: u[start:start + cfg.batch] for l, u in epoch_u.items()}
             with np.errstate(over="ignore", invalid="ignore"):
                 x = (frozen_forward(task.train_x[idx], blocks[:first])
                      if len(idx) == 1 else hoisted[idx])
-                tape, loss = build_batch_tape(state, params, x, slots[idx], cfg,
-                                              phase, counters, prior, mask_u, prev)
+                tape, loss = build_batch_tape(
+                    state, params, x, slots[idx], cfg, phase, counters, prior,
+                    {l: u[start:start + cfg.batch] for l, u in epoch_u.items()}, prev)
                 grads = backward(tape, params)
                 sgd_step(params, grads, velocity, lr, cfg.momentum, cfg.weight_decay)
             # one check, not NumPy warnings, reports an overflow; a non-finite gradient
@@ -422,6 +421,7 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
                             f"batch {start // cfg.batch + 1}: non-finite {name}")
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
+        del epoch_u  # so the next tile is drawn with this one released
 
     # phase 3: statistics, alignment, classifier rebuild
     # the new adapter's features, then the previous adapter's for the drift
@@ -431,8 +431,7 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
                                        cfg.align_samples, run_seed, task_index)
         class_stats = {c: (aligned.get(c, mean), var)
                        for c, (mean, var) in state.class_stats.items()}
-        class_stats.update(fit_class_gaussians(
-            {c: feats[0][task.train_y == c] for c in task.classes}))
+        class_stats.update(fit_class_gaussians(feats[0], task.train_y))
         class_ids = [*state.class_ids, *task.classes]
         classifier = build_classifier(
             {c: class_stats[c][0] for c in class_ids}, class_ids)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgds.data import (FormatError, SyntheticSpec, compute_prototypes,
+from sgds.data import (FormatError, SyntheticSpec,
                        embeddings_to_stream, generate_class_pool,
                        generate_synthetic, load_embeddings, split_classes,
                        TaskStream, write_embeddings)
@@ -225,25 +225,3 @@ def test_embeddings_to_stream_splits_per_class(tmp_path):
         for c in t.classes:
             assert (t.train_y == c).sum() == 7
             assert (t.test_y == c).sum() == 3
-
-
-def test_prototype_mean_identity_extractor():
-    x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    protos = compute_prototypes(x, np.array([0, 0]))
-    np.testing.assert_array_equal(protos[0], [0.5, 0.5])
-
-
-def test_prototype_single_sample():
-    x = np.array([[2.0, 3.0]])
-    protos = compute_prototypes(x, np.array([1]))
-    np.testing.assert_array_equal(protos[1], [2.0, 3.0])
-
-
-def test_prototype_permutation_invariant():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(10, 3))
-    y = np.zeros(10, dtype=int)
-    p1 = compute_prototypes(x, y)
-    perm = rng.permutation(10)
-    p2 = compute_prototypes(x[perm], y[perm])
-    np.testing.assert_allclose(p1[0], p2[0], atol=1e-12)

@@ -278,6 +278,38 @@ def test_cli_run_and_eval_roundtrip(tmp_path, capsys):
     assert "A_T=" in captured.out
 
 
+def test_cli_eval_finds_the_run_seed_of_the_checkpoint(tmp_path, capsys):
+    # seed 1's split does not begin with seed 2's classes, and no env var
+    # names the seed: eval tries each run seed in order
+    cfg_path = quick_config(tmp_path, **{"run.seeds": "1,2"})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    a_t = capsys.readouterr().out.splitlines()[1].split("  ")[-1]
+    cfg = parse_config(cfg_path)
+    assert build_stream(cfg, 1).tasks[0].classes != build_stream(cfg, 2).tasks[0].classes
+    assert main(["eval", str(out / "seed_2" / "checkpoint"), str(cfg_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == a_t
+
+
+# overflows a finite state at scoring time: an lr of 1e300 on one-row tasks
+OVERFLOWS_IN_PREDICT = {
+    "model.dim": 4, "model.layers": 2, "tasks.count": 2, "dataset.groups": 1,
+    "dataset.classes_per_group": 2, "dataset.train_per_class": 1,
+    "dataset.test_per_class": 1, "adapter.rank": 2, "sgds.enabled": "false",
+    "sgds.k": 0.25, "sgds.target_layers": "0,1", "train.epochs": 1,
+    "train.batch": 1, "train.lr": 1e300, "align.samples": 0, "run.seeds": 0}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_run_whose_scores_overflow_exits_2_without_warnings(tmp_path, capsys):
+    path = tmp_path / "q.cfg"
+    path.write_text("".join(f"{k}={v}\n" for k, v in OVERFLOWS_IN_PREDICT.items()))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite ensemble scores in predict" in err
+    assert "RuntimeWarning" not in err
+
+
 def test_shorter_rerun_leaves_no_output_of_the_longer_run(tmp_path, monkeypatch,
                                                           capsys):
     cfg_path, out = quick_config(tmp_path), tmp_path / "o"
@@ -339,6 +371,9 @@ BAD_VALUES = [("SGDS_TRAIN_BATCH", "0", "must be at least 1"),
               ("SGDS_TRAIN_LR", "-0.5", "train.lr must be at least 0.0, got -0.5"),
               ("SGDS_TRAIN_MOMENTUM", "-0.1",
                "train.momentum must be at least 0.0, got -0.1"),
+              # at β >= 1 the velocity in v = β·v + g never decays
+              ("SGDS_TRAIN_MOMENTUM", "1", "train.momentum must be below 1, got 1.0"),
+              ("SGDS_TRAIN_MOMENTUM", "1.5", "train.momentum must be below 1, got 1.5"),
               ("SGDS_TRAIN_WEIGHT_DECAY", "-1e-4",
                "train.weight_decay must be at least 0.0, got -0.0001"),
               ("SGDS_BASELINE_PARAM_REG_LAMBDA", "-2",

@@ -9,7 +9,7 @@ from sgds.inference import (embed, evaluate_row, predict, select_by_entropy,
 from sgds.masking import top_k_mask
 from sgds.model import (Adapter, Block, FrozenBackbone, block_forward,
                         merge_universal)
-from sgds.numerics import ContractViolation
+from sgds.numerics import ContractViolation, NumericError
 from sgds.training import ContinualState, train_task
 
 from test_training import fresh_state, small_config, small_stream
@@ -103,6 +103,18 @@ def test_predict_without_adapters_is_a_contract_violation():
     state, rng = make_state(n_adapters=0)
     with pytest.raises(ContractViolation, match="no trained adapter"):
         predict(rng.normal(size=(2, 8)), state)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_predict_raises_on_scores_that_overflow_a_finite_state():
+    state, rng = make_state()
+    x = rng.normal(size=(3, 8))
+    predict(x, state)
+    wd, wu = state.adapters[1].layers[1]
+    state.adapters[1].layers[1] = (wd * 1e200, wu * 1e200)
+    state.universal = None
+    with pytest.raises(NumericError, match="non-finite ensemble scores"):
+        predict(x, state)
 
 
 def test_predict_tie_breaks_to_lower_class_id():

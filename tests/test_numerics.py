@@ -41,7 +41,6 @@ def engine_graph(seed, d, r, layers=1, targets=(0,), masked=False, n_old=0,
     classifier = rng.normal(size=(n_old, d))
     x = rng.normal(size=(batch, d))
     y = rng.integers(n_old, n_old + n_new, size=batch)
-    mask_u = {l: rng.random((batch, d)) for l in targets}
 
     def loss_fn(p):
         state = ContinualState(backbone, targets, 0.6, masked, adapters=prev,
@@ -49,7 +48,7 @@ def engine_graph(seed, d, r, layers=1, targets=(0,), masked=False, n_old=0,
         counters = ActivationCounters(targets, d)
         counters.add_task(range(n_old, n_old + n_new))
         return build_batch_tape(state, p, x, y - n_old, cfg,
-                                Phase.EXPLORATION, counters, {}, mask_u,
+                                Phase.EXPLORATION, counters, {}, {},
                                 penalty_stacks(prev, targets, reg))
 
     return params, loss_fn

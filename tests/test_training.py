@@ -1,11 +1,12 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from sgds import training
 from sgds.checkpoint import load_state, save_state
-from sgds.data import SyntheticSpec, compute_prototypes, generate_synthetic
+from sgds.data import SyntheticSpec, generate_synthetic
 from sgds.experiment import build_stream, parse_config, run_single
 from sgds.inference import embed
 from sgds.masking import ActivationCounters, Phase, Strategy
@@ -54,14 +55,14 @@ def test_build_classifier_zero_prototype():
 
 
 def test_fit_gaussians_single_sample_floor():
-    stats = fit_class_gaussians({0: np.array([[1.0, 2.0]])})
+    stats = fit_class_gaussians(np.array([[1.0, 2.0]]), np.array([0]))
     mean, var = stats[0]
     np.testing.assert_array_equal(mean, [1.0, 2.0])
     np.testing.assert_array_equal(var, [1e-6, 1e-6])
 
 
 def test_fit_gaussians_population_variance():
-    stats = fit_class_gaussians({0: np.array([[0.0, 0.0], [2.0, 0.0]])})
+    stats = fit_class_gaussians(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([0, 0]))
     mean, var = stats[0]
     np.testing.assert_array_equal(mean, [1.0, 0.0])
     np.testing.assert_allclose(var, [1.0, 1e-6], atol=1e-15)
@@ -69,10 +70,19 @@ def test_fit_gaussians_population_variance():
 
 def test_fit_gaussians_permutation_invariant():
     rng = np.random.default_rng(1)
-    feats = rng.normal(size=(9, 4))
-    m1 = fit_class_gaussians({0: feats})[0][0]
-    m2 = fit_class_gaussians({0: feats[rng.permutation(9)]})[0][0]
+    feats, y = rng.normal(size=(9, 4)), np.zeros(9, dtype=np.int64)
+    m1 = fit_class_gaussians(feats, y)[0][0]
+    m2 = fit_class_gaussians(feats[rng.permutation(9)], y)[0][0]
     np.testing.assert_allclose(m1, m2, atol=1e-12)
+
+
+def test_fit_gaussians_fits_each_class_to_its_own_rows_in_sorted_order():
+    feats = np.array([[4.0, 0.0], [1.0, 1.0], [6.0, 2.0], [3.0, 5.0]])
+    stats = fit_class_gaussians(feats, np.array([7, 2, 7, 2]))
+    assert list(stats) == [2, 7]
+    for c, rows in ((2, feats[[1, 3]]), (7, feats[[0, 2]])):
+        np.testing.assert_array_equal(stats[c][0], rows.mean(axis=0))
+        np.testing.assert_array_equal(stats[c][1], rows.var(axis=0))
 
 
 def trained_state(cfg=None, tasks=2, seed=11):
@@ -312,7 +322,8 @@ def test_frozen_prototypes_are_the_plain_frozen_backbone(targets, masked):
         a = task.train_x
         for block in state.backbone.blocks:  # no adapter and no mask
             a = block_forward(a, block)
-        want.update(compute_prototypes(a, task.train_y))
+        want.update({int(c): a[task.train_y == c].mean(axis=0)
+                     for c in np.unique(task.train_y)})
         train_task(state, task, cfg, run_seed=3)
     assert list(state.frozen_prototypes) == list(want)
     assert all(state.frozen_prototypes[c].tobytes() == p.tobytes()
@@ -450,15 +461,16 @@ def test_param_reg_penalty_increases_loss():
 @pytest.mark.parametrize("run_seed", [7, -3, (1 << 64) - 1])
 def test_epoch_mask_uniforms_follow_the_per_sample_streams(run_seed):
     n, batch, width, epochs = 11, 4, 5, (3, 4, 9)
-    got = _epoch_mask_uniforms(run_seed, 2, epochs, n, batch, (0, 3), width)
-    assert sorted(got) == [0, 3]
-    for l, u in got.items():
-        assert u.shape == (len(epochs), n, width)
-        for i, epoch in enumerate(epochs):
+    got = list(_epoch_mask_uniforms(run_seed, 2, epochs, n, batch, (0, 3), width))
+    assert len(got) == len(epochs)
+    for epoch, epoch_u in zip(epochs, got):
+        assert sorted(epoch_u) == [0, 3]
+        for l, u in epoch_u.items():
+            assert u.shape == (n, width)
             for r in range(n):
                 exp = stream_rng(run_seed, TAG_MASK, 2, epoch, r // batch,
                                  r % batch, l).random(width)
-                np.testing.assert_array_equal(u[i, r], exp)
+                np.testing.assert_array_equal(u[r], exp)
 
 
 @pytest.mark.parametrize("per_class, epochs", [(24, 25), (100, 5), (128, 3), (129, 3)])
@@ -483,3 +495,23 @@ def test_mask_uniforms_are_drawn_a_tile_of_whole_epochs_at_a_time(
     assert [sorted(set(c)) for c in calls] == [
         list(range(e, min(e + per, epochs + 1))) for e in range(1, epochs + 1, per)]
     assert all(len(c) == n * len(set(c)) for c in calls)
+
+
+def test_no_mask_uniform_tile_is_alive_while_the_next_is_drawn(monkeypatch):
+    # a tile kept alive through the next draw doubles its share of the peak heap
+    drawn, alive = [], []
+
+    def probing_uniforms(keys, n):
+        alive.append(sum(ref() is not None for ref in drawn))
+        u = stream_uniforms(keys, n)
+        drawn.append(weakref.ref(u))
+        return u
+
+    monkeypatch.setattr(training, "stream_uniforms", probing_uniforms)
+    spec = SyntheticSpec(groups=2, classes_per_group=3, dim=16,
+                         samples_per_class_train=100, samples_per_class_test=2,
+                         seed=0)
+    task = generate_synthetic(spec, 3, 1993).tasks[0]
+    assert len(task.train_y) == 200  # tiles of two, two and one epochs
+    train_task(fresh_state(), task, small_config(epochs=5), run_seed=3)
+    assert alive == [0, 0, 0]
