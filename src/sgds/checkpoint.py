@@ -126,4 +126,8 @@ def load_state(dirpath, backbone: FrozenBackbone) -> ContinualState:
             raise ContractViolation(f"{name}: adapter rank {adapter.rank} "
                                     f"differs from {state.adapters[0].rank}")
         state.adapters.append(adapter)
+    if len(class_ids) < len(state.adapters):
+        raise ContractViolation(f"stats.bin: {len(class_ids)} classes for "
+                                f"{len(state.adapters)} adapters, but every task "
+                                "adds a class")
     return state

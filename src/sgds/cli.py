@@ -1,13 +1,14 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 input error (a ContractViolation or an OSError),
-2 numeric failure.
+Exit codes: 0 success, 1 input error (a ContractViolation or an OSError) or
+out of memory, 2 numeric failure.
 Any config key can be overridden with an environment variable named
 SGDS_<KEY> where dots become underscores (e.g. SGDS_TRAIN_EPOCHS=5).
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -63,7 +64,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_inspect_counters(args) -> int:
-    import os
     path = os.path.join(args.checkpoint, "counters.csv")
     with open(path) as f:
         sys.stdout.write(f.read())
@@ -125,6 +125,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # sizes too large for this machine are input errors
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -31,18 +31,14 @@ def cosine_lr(epoch: int, total: int, base_lr: float) -> float:
     return base_lr * (1.0 + math.cos(math.pi * epoch / total)) / 2.0
 
 
-def sgd_step(params: dict, grads: dict, velocity: dict, lr: float,
+def sgd_step(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: float,
              momentum: float, weight_decay: float) -> None:
-    """v <- m*v + g; p <- p - lr*v.  Updates params and velocity in place."""
-    for name, p in params.items():
-        g = grads[name]
-        if np.shape(g) != np.shape(p):
-            raise ContractViolation(f"shape mismatch for parameter {name!r}")
-        if weight_decay:
-            g = g + weight_decay * p
-        v = velocity.get(name)
-        if v is None:
-            v = np.zeros_like(p)
-        v = momentum * v + g
-        velocity[name] = v
-        p -= lr * v
+    """v <- m*v + g; theta <- theta - lr*v, in place on three vectors of one
+    shape, where g is ``grad`` plus ``weight_decay * theta`` if that is set."""
+    if not np.shape(theta) == np.shape(grad) == np.shape(velocity):
+        raise ContractViolation("theta, gradient and velocity differ in shape")
+    if weight_decay:
+        grad = grad + weight_decay * theta
+    velocity *= momentum
+    velocity += grad
+    theta -= lr * velocity

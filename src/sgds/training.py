@@ -375,8 +375,9 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     params = {"head_new": np.zeros((d, len(task.classes)))}
     for l in state.target_layers:
         params[f"wd_{l}"], params[f"wu_{l}"] = adapter.layers[l]
-    # every parameter becomes a view of one flat vector, which one check reads
+    # every parameter views one flat vector, which one check reads and sgd_step updates
     flat = np.concatenate([w.ravel() for w in params.values()])
+    grad, velocity = np.empty_like(flat), np.zeros_like(flat)
     parts = np.split(flat, np.cumsum([w.size for w in params.values()])[:-1])
     params = {k: p.reshape(w.shape) for (k, w), p in zip(params.items(), parts)}
     adapter.layers = {l: (params[f"wd_{l}"], params[f"wu_{l}"]) for l in adapter.layers}
@@ -384,7 +385,6 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     slots = np.array([slot_of[int(c)] for c in task.train_y], dtype=np.int64)
 
     prev = penalty_stacks(state.adapters, state.target_layers, cfg.param_reg_mode)
-    velocity = {}
     epoch_losses, epoch_phases = [], []
     n = len(task.train_y)
     masked_epochs = [e for e in range(1, cfg.epochs + 1) if state.masked
@@ -407,7 +407,8 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
                     state, params, x, slots[idx], cfg, phase, counters, prior,
                     {l: u[start:start + cfg.batch] for l, u in epoch_u.items()}, prev)
                 grads = backward(tape, params)
-                sgd_step(params, grads, velocity, lr, cfg.momentum, cfg.weight_decay)
+                np.concatenate([grads[k].ravel() for k in params], out=grad)
+                sgd_step(flat, grad, velocity, lr, cfg.momentum, cfg.weight_decay)
             # one check, not NumPy warnings, reports an overflow; a non-finite gradient
             # leaves its parameter non-finite, so only a failure scans for the first
             if not (np.isfinite(tape.logits).all() and math.isfinite(loss)

@@ -138,3 +138,17 @@ def test_stats_with_a_repeated_class_id_raises(checkpoint, tmp_path):
         load_state(tmp_path, backbone)
     assert str(err.value) == (f"stats.bin: class {first} given twice "
                               f"(byte offset {HEADER + RECORD})")
+
+
+@pytest.mark.parametrize("n_classes", [0, 2])
+def test_stats_with_fewer_classes_than_adapters_raises(checkpoint, tmp_path, n_classes):
+    # every task adds at least one class, so 3 adapters need 3 classes or more
+    src, backbone = checkpoint
+    shutil.copytree(src, tmp_path, dirs_exist_ok=True)
+    stats = bytearray((tmp_path / "stats.bin").read_bytes()[:HEADER + n_classes * RECORD])
+    struct.pack_into("<I", stats, 12, n_classes)
+    (tmp_path / "stats.bin").write_bytes(bytes(stats))
+    with pytest.raises(ContractViolation) as err:
+        load_state(tmp_path, backbone)
+    assert str(err.value) == (f"stats.bin: {n_classes} classes for 3 adapters, "
+                              "but every task adds a class")

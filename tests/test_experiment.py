@@ -453,6 +453,19 @@ def test_cli_rejects_model_dim_too_large_for_a_float(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_cli_run_out_of_memory_exits_1_without_a_traceback(tmp_path, monkeypatch,
+                                                          capsys):
+    # 10^15 pseudo-features of 16 floats per old class: NumPy refuses the
+    # 114 PiB at once, before a page is touched
+    monkeypatch.setenv("SGDS_ALIGN_SAMPLES", "1" + "0" * 15)
+    out = tmp_path / "o"
+    assert main(["run", str(quick_config(tmp_path)), "--out", str(out)]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("error: out of memory: Unable to allocate ")
+    assert "(1000000000000000, 16)" in stderr and stderr.count("\n") == 1
+    assert (out / "FAILED").read_text() == "seed 1993 aborted\n"
+
+
 @pytest.mark.parametrize("env,message", [
     ({"SGDS_MODEL_DIM": "1" + "0" * 30},
      "model.dim must be below 2^29, got 1" + "0" * 30),

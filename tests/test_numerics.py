@@ -122,11 +122,11 @@ def test_nonfinite_parameter_raises_naming_it(monkeypatch):
     from test_training import fresh_state, small_config, small_stream
     steps = []
 
-    def poisoned_step(params, *rest):
-        sgd_step(params, *rest)
+    def poisoned_step(theta, *rest):
+        sgd_step(theta, *rest)
         steps.append(None)
         if len(steps) == 5:  # 48 samples in batches of 16: epoch 2, batch 2
-            params["wu_1"][0, 3] = np.nan
+            theta[-1] = np.nan  # the last entry of wu_1, the last parameter
 
     monkeypatch.setattr(training, "sgd_step", poisoned_step)
     cfg = small_config()
@@ -168,10 +168,67 @@ def test_a_non_finite_gradient_leaves_its_parameter_non_finite(
     # the invariant behind train_task's one check: after a step, every
     # parameter entry whose gradient entry is non-finite is non-finite
     p, v, g = (np.array(column) for column in zip(*entries))
-    params, velocity = {"w": p}, ({} if fresh else {"w": v})
+    velocity = np.zeros_like(v) if fresh else v
     with np.errstate(all="ignore"):
-        sgd_step(params, {"w": g}, velocity, lr, momentum, weight_decay)
-    assert not np.isfinite(params["w"][~np.isfinite(g)]).any()
+        sgd_step(p, g, velocity, lr, momentum, weight_decay)
+    assert not np.isfinite(p[~np.isfinite(g)]).any()
+
+
+def _sgd_step_per_name(params, grads, velocity, lr, momentum, weight_decay):
+    """Reference: the per-parameter dict loop the flat ``sgd_step`` replaced."""
+    for name, p in params.items():
+        g = grads[name]
+        if weight_decay:
+            g = g + weight_decay * p
+        v = velocity.get(name)
+        if v is None:
+            v = np.zeros_like(p)
+        v = momentum * v + g
+        velocity[name] = v
+        p -= lr * v
+
+
+# any float, a float with a full mantissa (st.floats favours short ones, whose
+# sums seldom round, so an order change would pass), or a NaN of either sign
+# with any payload
+ANY_FLOAT = st.one_of(st.floats(), st.integers(-1 << 53, 1 << 53).map(lambda i: i / 7),
+                      st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+                      st.builds(lambda sign, payload: np.array(
+                          [sign | 0x7FF0000000000000 | payload],
+                          dtype=np.uint64).view(np.float64)[0].item(),
+                          st.sampled_from([0, 1 << 63]),
+                          st.integers(1, (1 << 52) - 1)))
+
+
+def _bits(a):
+    # every bit but a NaN's sign and payload: NumPy's SIMD and scalar loops
+    # pick different operands' NaNs, so those bits follow an entry's position
+    # in its array, not the arithmetic, in the per-name loop as in the flat step
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       data=st.data(), lr=ANY_FLOAT, momentum=ANY_FLOAT,
+       weight_decay=st.one_of(st.just(0.0), ANY_FLOAT), fresh=st.booleans())
+def test_the_flat_step_matches_the_per_name_loop(
+        sizes, data, lr, momentum, weight_decay, fresh):
+    n = sum(sizes)
+    theta, grad, velocity = (np.array(data.draw(st.lists(
+        ANY_FLOAT, min_size=n, max_size=n))) for _ in range(3))
+    if fresh:
+        velocity[:] = 0.0
+    bounds = np.cumsum(sizes)[:-1]
+    names = [f"p{i}" for i in range(len(sizes))]
+    want_theta = theta.copy()
+    params = dict(zip(names, np.split(want_theta, bounds)))
+    grads = dict(zip(names, np.split(grad, bounds)))
+    want_velocity = {} if fresh else dict(zip(names, np.split(velocity.copy(), bounds)))
+    with np.errstate(all="ignore"):
+        _sgd_step_per_name(params, grads, want_velocity, lr, momentum, weight_decay)
+        sgd_step(theta, grad, velocity, lr, momentum, weight_decay)
+    assert _bits(theta) == _bits(want_theta)
+    assert _bits(velocity) == _bits(np.concatenate([*want_velocity.values()]))
 
 
 def test_the_batch_step_leaves_the_finite_scan_to_train_task():
@@ -342,30 +399,30 @@ def test_cosine_lr_monotone_and_contracts():
 
 
 def test_sgd_plain_step():
-    params = {"p": np.array([1.0])}
-    sgd_step(params, {"p": np.array([2.0])}, {}, cosine_lr(0, 2, 0.1), 0.0, 0.0)
-    np.testing.assert_allclose(params["p"], [0.8], atol=1e-15)
+    theta = np.array([1.0])
+    sgd_step(theta, np.array([2.0]), np.zeros(1), cosine_lr(0, 2, 0.1), 0.0, 0.0)
+    np.testing.assert_allclose(theta, [0.8], atol=1e-15)
 
 
 def test_sgd_momentum_recurrence():
-    params, velocity = {"p": np.array([0.0])}, {}
-    sgd_step(params, {"p": np.array([1.0])}, velocity, 0.1, 0.9, 0.0)
-    sgd_step(params, {"p": np.array([1.0])}, velocity, 0.1, 0.9, 0.0)
-    np.testing.assert_allclose(velocity["p"], [1.9], atol=1e-15)
-    np.testing.assert_allclose(params["p"], [-(0.1 + 0.19)], atol=1e-15)
+    theta, velocity = np.array([0.0]), np.zeros(1)
+    sgd_step(theta, np.array([1.0]), velocity, 0.1, 0.9, 0.0)
+    sgd_step(theta, np.array([1.0]), velocity, 0.1, 0.9, 0.0)
+    np.testing.assert_allclose(velocity, [1.9], atol=1e-15)
+    np.testing.assert_allclose(theta, [-(0.1 + 0.19)], atol=1e-15)
 
 
 def test_sgd_zero_gradient_fixed_point():
-    velocity = {"p": np.array([1.0])}
-    params = {"p": np.array([5.0])}
+    velocity = np.array([1.0])
+    theta = np.array([5.0])
     for _ in range(50):
-        before = params["p"].copy()
-        sgd_step(params, {"p": np.array([0.0])}, velocity, 0.1, 0.5, 0.0)
-        moved = abs(params["p"] - before)
-    assert velocity["p"][0] < 1e-12
+        before = theta.copy()
+        sgd_step(theta, np.array([0.0]), velocity, 0.1, 0.5, 0.0)
+        moved = abs(theta - before)
+    assert velocity[0] < 1e-12
     assert moved[0] < 1e-12
 
 
 def test_sgd_shape_mismatch():
     with pytest.raises(ContractViolation):
-        sgd_step({"p": np.zeros(2)}, {"p": np.zeros(3)}, {}, 0.1, 0.9, 0.0)
+        sgd_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9, 0.0)
