@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .masking import top_k_mask
-from .model import Adapter, extract, frozen_prefix, merge_universal
+from .model import extract, frozen_prefix, merge_universal, stack_weights
 from .numerics import ContractViolation, NumericError
 
 
@@ -13,10 +13,11 @@ def _mask_hook(state):
     return (lambda layer, a: a * top_k_mask(a, state.k)) if state.masked else None
 
 
-def embed(x: np.ndarray, state, adapters: list[Adapter]) -> list[np.ndarray]:
-    """Final-block embedding per adapter under the state's backbone, target
-    layers and masking switch; ``x`` may be its ``_prefix`` pair."""
-    return extract(x, state.backbone, adapters, state.target_layers,
+def embed(x: np.ndarray, state, weights: dict) -> np.ndarray:
+    """Final-block embeddings, (s, n, d), of the ``stack_weights`` stack
+    ``weights`` under the state's backbone, target layers and masking switch;
+    ``x`` may be its ``_prefix`` pair."""
+    return extract(x, state.backbone, weights, state.target_layers,
                    _mask_hook(state))
 
 
@@ -43,19 +44,19 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _universal_adapter(state) -> Adapter:
-    """The merge of ``state.adapters``, cached on the state.
+def _scoring_stack(state) -> dict:
+    """``stack_weights`` of the adapters and their merge, cached on the state.
 
-    The cache holds the adapters it merged and is rebuilt whenever the list
+    The cache holds the adapters it stacked and is rebuilt whenever the list
     no longer holds those same objects; an adapter is never changed in place
     once it is in the list.
     """
-    merged, uni = state.universal or ((), None)
+    merged, stack = state.universal or ((), None)
     if list(map(id, merged)) != list(map(id, state.adapters)):
         merged = tuple(state.adapters)
-        uni = merge_universal(list(merged))
-        state.universal = (merged, uni)
-    return uni
+        stack = stack_weights([*merged, merge_universal(list(merged))])
+        state.universal = (merged, stack)
+    return stack
 
 
 def select_by_entropy(per_adapter: np.ndarray) -> np.ndarray:
@@ -72,14 +73,14 @@ def predict(x: np.ndarray, state) -> np.ndarray:
     if not state.adapters:
         raise ContractViolation("no trained adapter to select from")
     key, x = x, np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.ndim > 2:
+        raise ContractViolation(f"predict takes 1-D or 2-D input, not shape {x.shape}")
     # one check, not NumPy warnings, reports inputs that overflow a finite state
     with np.errstate(over="ignore", invalid="ignore"):
-        *feats, uni_feats = embed(_prefix(key, x, state), state,
-                                  [*state.adapters, _universal_adapter(state)])
-        per_adapter = np.stack([f @ state.classifier.T for f in feats])
-        t_star = select_by_entropy(per_adapter)
-        total = (per_adapter[t_star, np.arange(x.shape[0])]
-                 + uni_feats @ state.classifier.T)
+        scores = (embed(_prefix(key, x, state), state, _scoring_stack(state))
+                  @ state.classifier.T)
+        t_star = select_by_entropy(scores[:-1])
+        total = scores[t_star, np.arange(x.shape[0])] + scores[-1]
     if not np.isfinite(total).all():
         raise NumericError("non-finite ensemble scores in predict")
     # argmax with ties resolved toward the lower class id

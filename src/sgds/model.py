@@ -79,15 +79,15 @@ def block_forward(x: np.ndarray, block: Block,
         raise ContractViolation("activation width does not match block width")
     out = x + block.mlp(x)[1]
     if adapter_weights is not None:
-        out = out + adapter_term(x, adapter_weights)[1]
+        out += adapter_term(x, adapter_weights)[1]
     return out
 
 
 def adapter_term(x: np.ndarray, adapter_weights: tuple[np.ndarray, np.ndarray]
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(z = x W_down, ReLU(z) W_up): the residual an adapter adds to a block."""
+    """(z = x W_down, ReLU(z) W_up): the residual an adapter (stack) adds to a block."""
     w_down, w_up = adapter_weights
-    if w_down.shape[0] != x.shape[-1]:
+    if w_down.shape[-2] != x.shape[-1]:
         raise ContractViolation("adapter width does not match activation")
     z = x @ w_down
     return z, np.maximum(z, 0.0) @ w_up
@@ -114,52 +114,51 @@ def frozen_prefix(x: np.ndarray, backbone: FrozenBackbone, first: int,
     return a, block_forward(a, backbone.blocks[first])
 
 
-def extract(x: np.ndarray, backbone: FrozenBackbone, adapters: list[Adapter],
-            target_layers: tuple[int, ...], mask_hook=None) -> list[np.ndarray]:
-    """Run the backbone under each adapter; returns one φ(x) per adapter.
+def stack_weights(adapters: list[Adapter]) -> dict:
+    """Per target layer, the adapters' (W_down, W_up) stacked: (s, d, r), (s, r, d)."""
+    if not adapters:
+        raise ContractViolation("need at least one adapter to stack")
+    ref = adapters[0]
+    if any(a.target_layers != ref.target_layers or a.rank != ref.rank
+           for a in adapters):
+        raise ContractViolation("adapters must share shape to stack")
+    return {l: tuple(np.stack(ws) for ws in zip(*(a.layers[l] for a in adapters)))
+            for l in ref.target_layers}
 
-    Every adapter holds weights at exactly ``target_layers``.
+
+def extract(x: np.ndarray, backbone: FrozenBackbone, weights: dict,
+            target_layers: tuple[int, ...], mask_hook=None) -> np.ndarray:
+    """φ(x) under each adapter of ``weights``, a ``stack_weights`` stack of s
+    adapters at exactly ``target_layers``: an (s, n, d) array.
+
     ``mask_hook(layer, x) -> x`` is applied only at target layers, to the
-    activation before it is fed to the block.  Up to the first target layer
-    every adapter sees the same activation, so ``frozen_prefix`` runs once (or
-    ``x`` is its pair); the adapter terms and the later blocks run per adapter.
-    Each output is the same floats as a pass with that adapter alone: every
-    matmul sees the same operands.
+    activation before it is fed to the block.  ``frozen_prefix`` runs once (or
+    ``x`` is its pair); each later block runs once over the whole stack.  Each
+    slice is the same floats as a pass of its own: every matmul sees the same
+    operands.
     """
     layers = tuple(sorted(target_layers))
     if not layers or layers[0] < 0 or layers[-1] >= backbone.num_blocks:
         raise ContractViolation("target layers empty or out of range")
-    if any(a.target_layers != layers for a in adapters):
+    if tuple(sorted(weights)) != layers:
         raise ContractViolation("adapter layers differ from the target layers")
     first = layers[0]
     a, base = (x if isinstance(x, tuple)
                else frozen_prefix(x, backbone, first, mask_hook))
-    feats = []
-    for adapter in adapters:
-        w = adapter.layers
-        h = base + adapter_term(a, w[first])[1]
-        for l in range(first + 1, backbone.num_blocks):
-            if mask_hook is not None and l in w:
-                h = mask_hook(l, h)
-            h = block_forward(h, backbone.blocks[l], w.get(l))
-        feats.append(h)
-    return feats
+    h = adapter_term(a, weights[first])[1]
+    h += base
+    for l in range(first + 1, backbone.num_blocks):
+        if mask_hook is not None and l in weights:
+            h = mask_hook(l, h)
+        h = block_forward(h, backbone.blocks[l], weights.get(l))
+    return h
 
 
 def merge_universal(adapters: list[Adapter]) -> Adapter:
     """Coordinate-wise sign-of-sum × max-magnitude fusion of all adapters."""
-    if not adapters:
-        raise ContractViolation("need at least one adapter to merge")
-    ref = adapters[0]
-    if any(a.target_layers != ref.target_layers or a.rank != ref.rank
-           for a in adapters):
-        raise ContractViolation("adapters must share shape to merge")
-    layers = {}
-    for l in ref.target_layers:
-        stacks = [np.stack(ws) for ws in zip(*(a.layers[l] for a in adapters))]
-        layers[l] = tuple(np.sign(s.sum(axis=0)) * np.abs(s).max(axis=0)
-                          for s in stacks)
-    return Adapter(-1, ref.rank, layers)
+    layers = {l: tuple(np.sign(s.sum(axis=0)) * np.abs(s).max(axis=0) for s in pair)
+              for l, pair in stack_weights(adapters).items()}
+    return Adapter(-1, adapters[0].rank, layers)
 
 
 class BlobReader:

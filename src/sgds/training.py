@@ -10,7 +10,8 @@ from .inference import embed
 from .masking import (ActivationCounters, Phase, SemanticProfile, Strategy,
                       dispatch_probability, formulate_strategy, relation_distribution,
                       reuse_probability, sparsify_and_record)
-from .model import Adapter, Block, FrozenBackbone, adapter_term, frozen_forward
+from .model import (Adapter, Block, FrozenBackbone, adapter_term, frozen_forward,
+                    stack_weights)
 from .numerics import ContractViolation, NumericError, cosine_lr, sgd_step
 from .rng import TAG_ALIGN, TAG_MASK, TAG_SHUFFLE, stream_rng, stream_uniforms
 
@@ -70,7 +71,7 @@ class ContinualState:
     frozen_prototypes: dict[int, np.ndarray] = field(default_factory=dict)
     counters: ActivationCounters | None = None
     task_logs: list[TaskLog] = field(default_factory=list)
-    # (adapters merged, their universal adapter); see inference.predict
+    # (adapters, stack_weights of them and their merge); see inference.predict
     universal: tuple | None = field(default=None, repr=False, compare=False)
     # id(test set) -> (that set, its frozen prefix) in run_single; inference._prefix
     prefixes: dict | None = field(default=None, repr=False, compare=False)
@@ -427,7 +428,8 @@ def train_task(state: ContinualState, task, cfg: TrainConfig,
     # phase 3: statistics, alignment, classifier rebuild
     # the new adapter's features, then the previous adapter's for the drift
     with np.errstate(over="ignore", invalid="ignore"):
-        feats = embed(task.train_x, state, [adapter, *state.adapters[-1:]])
+        feats = embed(task.train_x, state,
+                      stack_weights([adapter, *state.adapters[-1:]]))
         aligned = align_old_prototypes(state, feats[0], feats[-1],
                                        cfg.align_samples, run_seed, task_index)
         class_stats = {c: (aligned.get(c, mean), var)

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from sgds.inference import (embed, evaluate_row, predict, select_by_entropy,
                             summarize)
 from sgds.masking import top_k_mask
 from sgds.model import (Adapter, Block, FrozenBackbone, block_forward,
-                        merge_universal)
+                        extract, merge_universal, stack_weights)
 from sgds.numerics import ContractViolation, NumericError
 from sgds.training import ContinualState, train_task
 
@@ -32,7 +35,7 @@ def make_state(n_adapters=3, n_classes=4, d=8, seed=0, masked=False):
 
 def adapter_logits(x, state, adapter):
     """One adapter's logits, from a pass of its own."""
-    (feats,) = embed(x, state, [adapter])
+    (feats,) = embed(x, state, stack_weights([adapter]))
     return feats @ state.classifier.T
 
 
@@ -117,6 +120,15 @@ def test_predict_raises_on_scores_that_overflow_a_finite_state():
         predict(x, state)
 
 
+def test_predict_rejects_inputs_with_more_than_two_dimensions():
+    state, rng = make_state()
+    x = rng.normal(size=(4, 8))
+    np.testing.assert_array_equal(predict(x[0], state), predict(x[:1], state))
+    for bad in (x[None], rng.normal(size=(2, 4, 8))):
+        with pytest.raises(ContractViolation, match=re.escape(str(bad.shape))):
+            predict(bad, state)
+
+
 def test_predict_tie_breaks_to_lower_class_id():
     state, _ = make_state(n_adapters=1, n_classes=3)
     state.class_ids = [7, 2, 5]
@@ -144,13 +156,12 @@ def test_masked_embedding_respects_sparsity():
         hook_seen[layer] = a * top_k_mask(a, 0.5)
         return hook_seen[layer]
 
-    from sgds.model import extract
-    (masked,) = embed(x, state, [adapter])
+    (masked,) = embed(x, state, stack_weights([adapter]))
     np.testing.assert_array_equal(
-        extract(x, state.backbone, [adapter], (1,), probe)[0], masked)
+        extract(x, state.backbone, stack_weights([adapter]), (1,), probe)[0], masked)
     assert np.count_nonzero(hook_seen[1][0]) <= 5
     state.masked = False
-    (unmasked,) = embed(x, state, [adapter])
+    (unmasked,) = embed(x, state, stack_weights([adapter]))
     assert not np.allclose(masked, unmasked)
 
 
@@ -162,7 +173,7 @@ def test_evaluate_matrix_shape_and_perfect_classifier():
     state, rng = make_state(n_adapters=1, n_classes=2)
     # make class 0 and 1 perfectly separable through the classifier
     xs = np.vstack([np.ones((5, 8)), -np.ones((5, 8))])
-    (feats,) = embed(xs, state, state.adapters[:1])
+    (feats,) = embed(xs, state, stack_weights(state.adapters[:1]))
     state.classifier = np.stack([feats[:5].mean(axis=0), feats[5:].mean(axis=0)])
     state.class_ids = [0, 1]
     ys = np.array([0] * 5 + [1] * 5)
@@ -222,34 +233,36 @@ def test_fan_out_equals_separate_passes(blocks):
         target_sets.add((1, 3))
     for targets in sorted(target_sets):
         for masked in (False, True):
-            for n in (1, 37):
+            for n, count in itertools.product((1, 37), (1, 3, 11)):
                 state = ContinualState(backbone, targets, k, masked)
                 entries = [
                     Adapter(t, r, {l: (rng.normal(size=(d, r)),
                                        rng.normal(size=(r, d))) for l in targets})
-                    for t in range(3)]
+                    for t in range(count)]
                 entries = [entries[i] for i in rng.permutation(len(entries))]
                 x = rng.normal(size=(n, d))
-                fanned = embed(x, state, entries)
+                fanned = embed(x, state, stack_weights(entries))
                 assert len(fanned) == len(entries)
                 for entry, f in zip(entries, fanned):
-                    (alone,) = embed(x, state, [entry])
+                    (alone,) = embed(x, state, stack_weights([entry]))
                     assert np.array_equal(f, alone)
                     assert np.array_equal(
                         f, one_pass(x, backbone, entry, targets, k, masked))
 
 
-def test_predict_runs_the_frozen_blocks_once(monkeypatch):
+@pytest.mark.parametrize("targets", [(3,), (0, 1, 2, 3)], ids=["last", "all"])
+def test_predict_runs_the_frozen_blocks_once(targets, monkeypatch):
+    # each block's MLP runs once per call, over the whole adapter stack
     blocks, adapters, d = 4, 5, 8
     state = ContinualState(
-        backbone=FrozenBackbone.create(blocks, d), target_layers=(blocks - 1,),
+        backbone=FrozenBackbone.create(blocks, d), target_layers=targets,
         k=0.6, masked=True,
         classifier=np.random.default_rng(0).normal(size=(3, d)),
         class_ids=[0, 1, 2])
     for t in range(adapters):
-        state.adapters.append(Adapter.create(t, d, 2, (blocks - 1,), seed=t))
-    calls = {"mlp": 0, "merge": 0}
-    mlp, merge = Block.mlp, inference.merge_universal
+        state.adapters.append(Adapter.create(t, d, 2, targets, seed=t))
+    calls = {"mlp": 0, "merge": 0, "stack": 0}
+    mlp, merge, stack = Block.mlp, inference.merge_universal, inference.stack_weights
 
     def counting_mlp(self, a):
         calls["mlp"] += 1
@@ -259,15 +272,20 @@ def test_predict_runs_the_frozen_blocks_once(monkeypatch):
         calls["merge"] += 1
         return merge(ads)
 
+    def counting_stack(ads):
+        calls["stack"] += 1
+        return stack(ads)
+
     monkeypatch.setattr(Block, "mlp", counting_mlp)
     monkeypatch.setattr(inference, "merge_universal", counting_merge)
+    monkeypatch.setattr(inference, "stack_weights", counting_stack)
     x = np.random.default_rng(1).normal(size=(6, d))
     predict(x, state)
     predict(x, state)
-    assert calls == {"mlp": 2 * blocks, "merge": 1}
-    state.adapters.append(Adapter.create(adapters, d, 2, (blocks - 1,), seed=9))
+    assert calls == {"mlp": 2 * blocks, "merge": 1, "stack": 1}
+    state.adapters.append(Adapter.create(adapters, d, 2, targets, seed=9))
     predict(x, state)
-    assert calls == {"mlp": 3 * blocks, "merge": 2}
+    assert calls == {"mlp": 3 * blocks, "merge": 2, "stack": 2}
 
 
 def test_universal_cache_follows_the_adapter_list(tmp_path):
@@ -314,15 +332,15 @@ def test_a_cached_prefix_scores_the_same_bytes_as_a_fresh_pass(overrides):
     one_row = stream.tasks[0].test_x[:1].copy()  # a 1-row matmul takes gemv
     sets = [one_row, *(t.test_x for t in stream.tasks)]
     fresh = [predict(x, state) for x in sets]
-    adapters = [*state.adapters, inference._universal_adapter(state)]
-    feats = [embed(x, state, adapters) for x in sets]
+    stack = inference._scoring_stack(state)
+    feats = [embed(x, state, stack) for x in sets]
     state.prefixes = {}
     for _ in range(2):  # a miss, then a hit
         for x, f in zip(sets, fresh):
             assert predict(x, state).tobytes() == f.tobytes()
     assert len(state.prefixes) == len(sets)
     for x, f in zip(sets, feats):
-        cached = embed(state.prefixes[id(x)][1], state, adapters)
+        cached = embed(state.prefixes[id(x)][1], state, stack)
         assert [c.tobytes() for c in cached] == [g.tobytes() for g in f]
 
 

@@ -4,7 +4,7 @@ import pytest
 from sgds.masking import Phase
 from sgds.checkpoint import layer_bitmap, load_adapter, save_adapter
 from sgds.model import (Adapter, Block, FrozenBackbone, block_forward,
-                        extract, merge_universal)
+                        extract, merge_universal, stack_weights)
 from sgds.numerics import ContractViolation
 from sgds.training import (ContinualState, TrainConfig, build_batch_tape,
                            penalty_stacks)
@@ -72,7 +72,7 @@ def test_extract_single_block_composition():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(2, 6))
     adapter = rand_adapter(rng, d=6, layers=(0,))
-    (phi,) = extract(x, backbone, [adapter], (0,))
+    (phi,) = extract(x, backbone, stack_weights([adapter]), (0,))
     np.testing.assert_array_equal(
         phi, block_forward(x, backbone.blocks[0], adapter.layers[0]))
 
@@ -87,7 +87,8 @@ def test_extract_records_pre_adapter_activations():
         seen[layer] = a
         return a
 
-    extract(x, backbone, [rand_adapter(rng, d=6, layers=(1,))], (1,), probe)
+    extract(x, backbone, stack_weights([rand_adapter(rng, d=6, layers=(1,))]), (1,),
+            probe)
     assert list(seen) == [1]
     np.testing.assert_array_equal(seen[1], block_forward(x, backbone.blocks[0]))
 
@@ -102,8 +103,8 @@ def test_extract_hook_only_on_target_layers():
         assert layer == 2
         return a
 
-    (masked,) = extract(x, backbone, [adapter], (2,), hook)
-    (plain,) = extract(x, backbone, [adapter], (2,))
+    (masked,) = extract(x, backbone, stack_weights([adapter]), (2,), hook)
+    (plain,) = extract(x, backbone, stack_weights([adapter]), (2,))
     np.testing.assert_array_equal(masked, plain)
 
 
@@ -111,7 +112,7 @@ def test_extract_empty_input():
     backbone = FrozenBackbone.create(1, 4)
     adapter = rand_adapter(np.random.default_rng(4), layers=(0,))
     with pytest.raises(ContractViolation, match="empty input"):
-        extract(np.zeros((0, 4)), backbone, [adapter], (0,))
+        extract(np.zeros((0, 4)), backbone, stack_weights([adapter]), (0,))
 
 
 @pytest.mark.parametrize("adapter_layers, targets", [
@@ -121,7 +122,7 @@ def test_extract_takes_only_adapters_at_the_target_layers(adapter_layers,
     backbone = FrozenBackbone.create(2, 4)
     adapter = rand_adapter(np.random.default_rng(5), layers=adapter_layers)
     with pytest.raises(ContractViolation, match="target layers"):
-        extract(np.ones((1, 4)), backbone, [adapter], targets)
+        extract(np.ones((1, 4)), backbone, stack_weights([adapter]), targets)
 
 
 def test_backbone_frozen_and_deterministic():

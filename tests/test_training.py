@@ -10,7 +10,8 @@ from sgds.data import SyntheticSpec, generate_synthetic
 from sgds.experiment import build_stream, parse_config, run_single
 from sgds.inference import embed
 from sgds.masking import ActivationCounters, Phase, Strategy
-from sgds.model import Block, FrozenBackbone, block_forward, frozen_forward
+from sgds.model import (Block, FrozenBackbone, block_forward, frozen_forward,
+                        stack_weights)
 from sgds.numerics import ContractViolation, NumericError
 from sgds.rng import TAG_MASK, stream_rng, stream_uniforms
 from sgds.training import (ContinualState, TrainConfig, _epoch_mask_uniforms,
@@ -102,7 +103,7 @@ def test_align_noop_without_previous_adapter():
 
 def last_adapter_features(state, x):
     """``x`` through the newest adapter, as ``train_task`` embeds it."""
-    (feats,) = embed(x, state, state.adapters[-1:])
+    (feats,) = embed(x, state, stack_weights(state.adapters[-1:]))
     return feats
 
 
